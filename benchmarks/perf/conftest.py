@@ -99,11 +99,6 @@ _SPEEDUP_RATIOS = (
         "kernel_statevector_20q_tensordot",
         "kernel_statevector_20q",
     ),
-    (
-        "kernel_speedup_traj_16q",
-        "kernel_trajectory_16q_tensordot",
-        "kernel_trajectory_16q",
-    ),
     # Overhead ratio, not a speedup: the faulty drain (two retries per
     # job) over the fault-free drain — check_bench gates its *ceiling*.
     ("retry_overhead_fleet", "fleet_drain_faulty", "fleet_drain_clean"),

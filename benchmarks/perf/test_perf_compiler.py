@@ -4,11 +4,11 @@ Two cost families, each normalized within itself (see
 ``tools/check_bench.py``):
 
 * ``compile_once_run_many`` — the plan-cache win. The pre-refactor
-  ``run_circuit`` path recompiled the bound circuit on every call
-  (reproduced here as ``recompile_every_run_8q``, the family's unit of
-  measurement); the cached path compiles once and binds many. The derived
-  ``compile_once_speedup_vs_recompile`` ratio is gated in CI with a 1.5x
-  floor.
+  ``run_circuit`` path lowered the bound circuit on every call and ran
+  it unfused (reproduced here as ``recompile_every_run_8q``, the
+  family's unit of measurement); the cached path compiles once and binds
+  many. The derived ``compile_once_speedup_vs_recompile`` ratio is gated
+  in CI with a 1.5x floor.
 * ``fused_vs_unfused_8q`` — the static-gate fusion win on a
   native-basis-shaped circuit, measured as fused vs unfused plan
   execution (``unfused_run_8q`` is the unit of measurement).
@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.ansatz.efficient_su2 import EfficientSU2
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.program import compile_circuit
 from repro.compiler import clear_plan_cache, compile_plan
 from repro.simulator.statevector import StatevectorSimulator
 from repro.transpiler.basis import translate_to_basis
@@ -43,11 +42,12 @@ def test_recompile_every_run_8q(record_benchmark):
     sim = StatevectorSimulator(QUBITS)
 
     def recompile_and_run():
-        # The pre-refactor hot path: compile_circuit on every invocation.
+        # The pre-refactor hot path: an uncached, unfused lowering on
+        # every invocation.
         total = None
         for _ in range(RUNS):
-            program = compile_circuit(circuit)
-            total = sim.run_program(program, np.empty(0))
+            plan = compile_plan(circuit, fusion=False, cache=False)
+            total = sim.run_plan(plan, np.empty(0))
         return total
 
     state = record_benchmark(
@@ -82,11 +82,11 @@ def test_compile_once_run_many_8q(record_benchmark):
         runs=RUNS,
     )
     assert np.isfinite(state).all()
-    # Cached and recompiled paths agree bit-for-bit on the final state.
-    program = compile_circuit(circuit)
+    # Cached and recompiled paths agree on the final state.
+    plan = compile_plan(circuit, fusion=False, cache=False)
     np.testing.assert_allclose(
         np.asarray(state).reshape(-1),
-        sim.run_program(program, np.empty(0)).reshape(-1),
+        sim.run_plan(plan, np.empty(0)).reshape(-1),
         atol=1e-12,
         rtol=0.0,
     )

@@ -1,12 +1,14 @@
 """Perf benchmarks for the v2 gate kernels (pair vs. tensordot).
 
-Each workload runs twice — once per ``REPRO_KERNEL`` engine — and the
-kernel family gates on its *derived speedup ratios* (pair time vs. the
-tensordot sibling; ``kernel_speedup_16q >= 4x`` is the headline
-acceptance gate, ``kernel_speedup_20q >= 3x`` rides along — see
-``tools/check_bench.py``). Every entry is its own ``reference``, which
-exempts the family from the generic normalized-regression gate: the
-explicit speedup floors are the tighter, variance-tolerant check.
+Each statevector workload is timed twice: through the simulator's fused
+run loop on the bit-indexed pair kernels, and as a benchmark-side loop
+over the tensordot reference kernels (``*_tensordot``), one reference
+call per plan op. The kernel family gates on the *derived speedup
+ratios* (``kernel_speedup_16q >= 4x`` is the headline acceptance gate,
+``kernel_speedup_20q >= 3x`` rides along — see ``tools/check_bench.py``).
+Every entry is its own ``reference``, which exempts the family from the
+generic normalized-regression gate: the explicit speedup floors are the
+tighter, variance-tolerant check.
 
 Three workloads:
 
@@ -15,28 +17,33 @@ Three workloads:
   simulator. This is the paper-scale hot loop the kernels exist for.
 * ``kernel_statevector_20q`` — a single 20-qubit serial plan execution
   (16 MiB statevector), exercising the chunked cache-blocked path.
-* ``kernel_trajectory_16q`` — 4 noisy trajectories at 16 qubits; gate
-  kernels ride the same dispatch, but Kraus unraveling dominates the
-  runtime, so its speedup ratio is reported without a floor.
+* ``kernel_trajectory_16q`` — 4 noisy trajectories at 16 qubits; Kraus
+  unraveling dominates its runtime, so it has no reference sibling and
+  no floor.
 
 Every entry records a ``bytes_touched`` estimate (from the
 ``kernel.*.bytes`` counters) for one workload execution, which makes
 the benchmark roofline-readable: ``bytes_touched / min_s`` approximates
-the sustained memory bandwidth of the gate loop.
+the sustained memory bandwidth of the gate loop. The reference loops
+bypass the dispatcher, so they record zero.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 
 from repro.ansatz.efficient_su2 import EfficientSU2
+from repro.circuits.gates import stacked_gate_matrices
 from repro.compiler import compile_noise_plan
 from repro.noise.noise_model import NoiseModel
 from repro.obs.metrics import METRICS
 from repro.simulator.batched import BatchedStatevectorSimulator
+from repro.simulator.kernels.reference import (
+    apply_gate_tensordot,
+    apply_gates_elementwise_reference,
+)
 from repro.simulator.statevector import StatevectorSimulator
 from repro.simulator.trajectory import TrajectorySimulator
 
@@ -92,48 +99,46 @@ def _kernel_bytes(func: Callable) -> int:
     return total() - before
 
 
-def _bench_engine(
-    record_benchmark,
-    name: str,
-    kernel_engine: Optional[str],
-    func: Callable,
-    rounds: int,
-    reference: str,
-    **metadata,
-):
-    """Record ``func`` under a pinned ``REPRO_KERNEL`` engine."""
-    saved = os.environ.get("REPRO_KERNEL")
-    if kernel_engine is None:
-        os.environ.pop("REPRO_KERNEL", None)
-    else:
-        os.environ["REPRO_KERNEL"] = kernel_engine
-    try:
-        bytes_touched = _kernel_bytes(func)
-        return record_benchmark(
-            name,
-            func,
-            rounds=rounds,
-            reference=reference,
-            bytes_touched=bytes_touched,
-            **metadata,
-        )
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_KERNEL", None)
+def _bench(record_benchmark, name: str, func: Callable, rounds: int, **metadata):
+    """Record ``func`` as its own reference, with its kernel traffic."""
+    return record_benchmark(
+        name,
+        func,
+        rounds=rounds,
+        reference=name,
+        bytes_touched=_kernel_bytes(func),
+        **metadata,
+    )
+
+
+def _reference_batched(plan, thetas):
+    """Batched plan execution as one tensordot-reference call per op."""
+    angles = plan.bind_angles_batch(thetas)
+    states = BatchedStatevectorSimulator(plan.num_qubits).zero_states(len(thetas))
+    for op in plan.ops:
+        if op.matrix is not None:
+            states = apply_gate_tensordot(states, op.matrix, op.qubits, 1)
         else:
-            os.environ["REPRO_KERNEL"] = saved
+            matrices = stacked_gate_matrices(op.gate_name, angles[:, op.slot])
+            states = apply_gates_elementwise_reference(states, matrices, op.qubits)
+    return states.reshape(len(thetas), -1)
+
+
+def _reference_serial(plan, theta):
+    """Serial plan execution as one tensordot-reference call per op."""
+    state = StatevectorSimulator(plan.num_qubits).zero_state()
+    for qubits, matrix in plan.op_matrices(theta):
+        state = apply_gate_tensordot(state, matrix, qubits)
+    return state
 
 
 def test_kernel_vqe_iteration_16q_tensordot(record_benchmark):
     plan, thetas = _workload_16q()
-    sim = BatchedStatevectorSimulator(16)
-    states = _bench_engine(
+    states = _bench(
         record_benchmark,
         "kernel_vqe_iteration_16q_tensordot",
-        "tensordot",
-        lambda: sim.run_flat(plan, thetas),
+        lambda: _reference_batched(plan, thetas),
         rounds=5,
-        reference="kernel_vqe_iteration_16q_tensordot",
         qubits=16,
         batch=8,
         engine="tensordot",
@@ -144,30 +149,28 @@ def test_kernel_vqe_iteration_16q_tensordot(record_benchmark):
 def test_kernel_vqe_iteration_16q_pair(record_benchmark):
     plan, thetas = _workload_16q()
     sim = BatchedStatevectorSimulator(16)
-    states = _bench_engine(
+    states = _bench(
         record_benchmark,
         "kernel_vqe_iteration_16q",
-        "pair",
         lambda: sim.run_flat(plan, thetas),
         rounds=10,
-        reference="kernel_vqe_iteration_16q",
         qubits=16,
         batch=8,
         engine="pair",
     )
     assert np.isfinite(states).all()
+    np.testing.assert_allclose(
+        states, _reference_batched(plan, thetas), atol=1e-10
+    )
 
 
 def test_kernel_statevector_20q_tensordot(record_benchmark):
     plan, theta = _workload_20q()
-    sim = StatevectorSimulator(20)
-    state = _bench_engine(
+    state = _bench(
         record_benchmark,
         "kernel_statevector_20q_tensordot",
-        "tensordot",
-        lambda: sim.run_plan(plan, theta),
+        lambda: _reference_serial(plan, theta),
         rounds=3,
-        reference="kernel_statevector_20q_tensordot",
         qubits=20,
         engine="tensordot",
     )
@@ -177,37 +180,15 @@ def test_kernel_statevector_20q_tensordot(record_benchmark):
 def test_kernel_statevector_20q_pair(record_benchmark):
     plan, theta = _workload_20q()
     sim = StatevectorSimulator(20)
-    state = _bench_engine(
+    state = _bench(
         record_benchmark,
         "kernel_statevector_20q",
-        "pair",
         lambda: sim.run_plan(plan, theta),
         rounds=5,
-        reference="kernel_statevector_20q",
         qubits=20,
         engine="pair",
     )
     assert np.isfinite(state).all()
-
-
-def test_kernel_trajectory_16q_tensordot(record_benchmark):
-    plan = _workload_traj_16q()
-
-    def run():
-        return TrajectorySimulator(16, seed=7).run_noise_plan(plan, 4)
-
-    states = _bench_engine(
-        record_benchmark,
-        "kernel_trajectory_16q_tensordot",
-        "tensordot",
-        run,
-        rounds=3,
-        reference="kernel_trajectory_16q_tensordot",
-        qubits=16,
-        trajectories=4,
-        engine="tensordot",
-    )
-    assert np.isfinite(states).all()
 
 
 def test_kernel_trajectory_16q_pair(record_benchmark):
@@ -216,13 +197,11 @@ def test_kernel_trajectory_16q_pair(record_benchmark):
     def run():
         return TrajectorySimulator(16, seed=7).run_noise_plan(plan, 4)
 
-    states = _bench_engine(
+    states = _bench(
         record_benchmark,
         "kernel_trajectory_16q",
-        "pair",
         run,
         rounds=3,
-        reference="kernel_trajectory_16q",
         qubits=16,
         trajectories=4,
         engine="pair",

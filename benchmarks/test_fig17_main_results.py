@@ -2,9 +2,13 @@
 
 Paper: QISMET mean 2x (up to 3x); Blocking/Resampling ~1.2x mean but
 inconsistent; 2nd-order consistently below baseline; best-case Kalman
-~1.07x mean. Our energy-level reproduction preserves the ordering
-(QISMET > filtering/SPSA-variants >= baseline > 2nd-order) at smaller
-absolute factors.
+~1.07x mean. Our energy-level reproduction does not preserve the
+paper's ordering. A reduced-scale run (seed 13, 400 iterations) gives
+geomeans of QISMET 1.080, blocking 1.212, resampling 1.220, Kalman 1.144
+and 2nd-order 0.050 relative to baseline: QISMET beats the baseline but
+trails the SPSA variants and Kalman, and 2nd-order stays far below. The
+asserts check only that QISMET beats the baseline, stays within 0.1 of
+Kalman, and that 2nd-order loses.
 """
 
 from bench_helpers import print_table, run_once

@@ -1,7 +1,7 @@
 """Ansatz base classes.
 
 An :class:`Ansatz` owns a parameterized circuit, a canonical parameter
-ordering, and a compiled program for fast simulation. Subclasses define the
+ordering, and a compiled gate plan for fast simulation. Subclasses define the
 rotation layers; :class:`TwoLocalAnsatz` implements the rotation/entangle
 block structure shared by SU2 and RA.
 """
@@ -15,7 +15,6 @@ import numpy as np
 from repro.ansatz.entanglement import entanglement_pairs
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameter import Parameter, ParameterVector
-from repro.circuits.program import CompiledProgram, compile_circuit
 from repro.compiler import GatePlan, compile_plan
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -29,7 +28,6 @@ class Ansatz:
         # Compiled through the shared plan cache: structurally identical
         # ansatz instances (same shape, reps, entanglement) share one plan.
         self._plan = compile_plan(circuit, self._parameters)
-        self._program: CompiledProgram | None = None
 
     @property
     def num_qubits(self) -> int:
@@ -52,13 +50,6 @@ class Ansatz:
     def plan(self) -> GatePlan:
         """The compiled (fused, cached) gate plan — the execution form."""
         return self._plan
-
-    @property
-    def program(self) -> CompiledProgram:
-        """Legacy compiled program (compatibility shim; built lazily)."""
-        if self._program is None:
-            self._program = compile_circuit(self._circuit, self._parameters)
-        return self._program
 
     def bind(self, theta: Sequence[float]) -> QuantumCircuit:
         """A numeric circuit at parameter values ``theta``."""

@@ -47,7 +47,7 @@ from repro.compiler import (
     noise_fingerprint,
     transpile_then_compile,
 )
-from repro.compiler.cache import coupling_fingerprint, fusion_enabled
+from repro.compiler.cache import coupling_fingerprint
 from repro.noise.noise_model import NoiseModel
 from repro.noise.readout import ReadoutError, ReadoutMitigator
 from repro.operators.grouping import group_commuting_terms, measurement_bases
@@ -165,13 +165,10 @@ class CountsBackend:
 
     def _circuit_key(self, circuit: QuantumCircuit) -> str:
         """Content hash identifying a bound circuit on this backend."""
-        extra: Tuple[object, ...] = ("fused" if fusion_enabled() else "raw",)
+        extra: Tuple[object, ...] = ()
         if self.device is not None:
             coupling = getattr(self.device, "coupling_map", self.device)
-            extra = (
-                coupling_fingerprint(coupling),
-                self.layout_method,
-            ) + extra
+            extra = (coupling_fingerprint(coupling), self.layout_method)
         return circuit_fingerprint(circuit, extra=extra)
 
     def _lower(self, circuit: QuantumCircuit, key: str) -> DeviceCompilation:

@@ -3,14 +3,13 @@
 The IR is deliberately small: a :class:`QuantumCircuit` is an ordered list
 of gate instructions over named qubits, with optional symbolic
 :class:`Parameter` angles. For hot loops (VQE objective evaluations), a
-circuit compiles down to a :class:`CompiledProgram` that the statevector
-simulator executes without re-touching Python-level instruction objects.
+circuit compiles down to a :class:`~repro.compiler.GatePlan` that the
+simulators execute without re-touching Python-level instruction objects.
 """
 
 from repro.circuits.parameter import Parameter, ParameterExpression, ParameterVector
 from repro.circuits.gates import GATES, GateSpec, gate_matrix
 from repro.circuits.circuit import Instruction, QuantumCircuit
-from repro.circuits.program import CompiledProgram, compile_circuit
 from repro.circuits.library import (
     bell_pair,
     ghz_circuit,
@@ -27,8 +26,6 @@ __all__ = [
     "gate_matrix",
     "Instruction",
     "QuantumCircuit",
-    "CompiledProgram",
-    "compile_circuit",
     "bell_pair",
     "ghz_circuit",
     "layered_cx_circuit",

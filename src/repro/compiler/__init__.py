@@ -19,8 +19,7 @@ gate loop is compile-once-bind-many — binding a parameter vector is one
 NumPy affine map, and repeated ``run_circuit`` / figure / fleet
 invocations hit the plan cache instead of recompiling.
 
-Knobs: ``REPRO_FUSION=0`` disables fusion (parity debugging);
-``REPRO_PLAN_CACHE=<n>`` sizes the LRU (0 disables caching);
+Knobs: ``REPRO_PLAN_CACHE=<n>`` sizes the LRU (0 disables caching);
 ``REPRO_VERIFY=1`` appends the :class:`VerifyPlan` static-verification
 pass (see :mod:`repro.analysis`) to every pipeline — always-on in tests.
 """
@@ -35,11 +34,10 @@ from repro.compiler.cache import (
     PlanCache,
     circuit_fingerprint,
     clear_plan_cache,
-    fusion_enabled,
     plan_cache_capacity,
     plan_cache_stats,
 )
-from repro.compiler.ir import GatePlan, PlanOp, lower_program
+from repro.compiler.ir import GatePlan, PlanOp
 from repro.compiler.noise_plan import (
     ChannelOp,
     NoisePlan,
@@ -73,12 +71,10 @@ __all__ = [
     "PlanCache",
     "circuit_fingerprint",
     "clear_plan_cache",
-    "fusion_enabled",
     "plan_cache_capacity",
     "plan_cache_stats",
     "GatePlan",
     "PlanOp",
-    "lower_program",
     "ChannelOp",
     "NoisePlan",
     "compile_noise_plan",

@@ -25,7 +25,6 @@ from repro.compiler.cache import (
     PLAN_CACHE,
     circuit_fingerprint,
     coupling_fingerprint,
-    fusion_enabled,
 )
 from repro.compiler.ir import GatePlan
 from repro.compiler.passes import (
@@ -40,22 +39,21 @@ def compile_plan(
     circuit: QuantumCircuit,
     parameters: Optional[Sequence[Parameter]] = None,
     *,
-    fusion: Optional[bool] = None,
+    fusion: bool = True,
     cache: bool = True,
 ) -> GatePlan:
     """Compile a circuit into a (cached, fused) :class:`GatePlan`.
 
-    ``parameters`` fixes the theta ordering (defaulting to first-appearance
-    order, like :func:`repro.circuits.program.compile_circuit`). ``fusion``
-    defaults to the ``REPRO_FUSION`` environment switch. ``cache=False``
+    ``parameters`` fixes the theta ordering (defaulting to the circuit's
+    first-appearance order). ``fusion=False`` keeps one op per source
+    gate — the unfused plan the tests use as their oracle. ``cache=False``
     bypasses the shared plan cache (the cache key is still computed so the
     returned plan is identifiable).
     """
-    fuse = fusion_enabled() if fusion is None else bool(fusion)
     key = "plan:" + circuit_fingerprint(
-        circuit, parameters, extra=("fused" if fuse else "raw",)
+        circuit, parameters, extra=("fused" if fusion else "raw",)
     )
-    pipeline = default_pipeline(fusion=fuse)
+    pipeline = default_pipeline(fusion=fusion)
 
     def build() -> GatePlan:
         plan = pipeline.compile(circuit, parameters)
@@ -105,7 +103,7 @@ def transpile_then_compile(
     device,
     *,
     layout_method: str = "chain",
-    fusion: Optional[bool] = None,
+    fusion: bool = True,
     cache: bool = True,
 ) -> DeviceCompilation:
     """Lower a bound circuit onto a device and compile it, in one call.
@@ -124,18 +122,17 @@ def transpile_then_compile(
     frequently-touched entries alive while one-shot entries age out.
     """
     coupling = _coupling_of(device)
-    fuse = fusion_enabled() if fusion is None else bool(fusion)
     key = "device:" + circuit_fingerprint(
         circuit,
         extra=(
             coupling_fingerprint(coupling),
             layout_method,
-            "fused" if fuse else "raw",
+            "fused" if fusion else "raw",
         ),
     )
 
     def build() -> DeviceCompilation:
-        unit = device_pipeline(layout_method, fusion=fuse).run(
+        unit = device_pipeline(layout_method, fusion=fusion).run(
             CompilationUnit(circuit=circuit, coupling=coupling)
         )
         unit.plan.key = key

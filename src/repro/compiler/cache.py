@@ -9,12 +9,9 @@ plus the pipeline configuration, and stores it in one process-wide LRU —
 shared by ``run_circuit``, the figure benchmarks, and the fleet's worker
 threads alike.
 
-Knobs (see the README's consolidated ``REPRO_*`` table):
-
-* ``REPRO_FUSION=0`` — kill switch for static-gate fusion (parity
-  debugging; fused and unfused execution agree to <= 1e-12);
-* ``REPRO_PLAN_CACHE=<n>`` — LRU capacity (default 256; ``0`` disables
-  caching entirely).
+Knob (see the README's consolidated ``REPRO_*`` table):
+``REPRO_PLAN_CACHE=<n>`` — LRU capacity (default 256; ``0`` disables
+caching entirely).
 """
 
 from __future__ import annotations
@@ -37,14 +34,12 @@ _MISSING = object()
 
 
 def fusion_enabled() -> bool:
-    """Whether static-gate fusion is on (``REPRO_FUSION`` kill switch).
+    """Whether default compiles fuse static gates: always.
 
-    ``REPRO_FUSION=0`` (or ``off``/``false``/``no``) disables fusion so
-    plans execute their source gates one by one — the escape hatch for
-    isolating fused-vs-unfused numeric differences.
+    Kept so run manifests can record the resolved setting; unfused plans
+    come only from an explicit ``compile_plan(..., fusion=False)``.
     """
-    value = os.environ.get("REPRO_FUSION", "").strip().lower()
-    return value not in ("0", "off", "false", "no")
+    return True
 
 
 def plan_cache_capacity() -> int:

@@ -13,8 +13,9 @@ structure-of-arrays parameter table) plus the SoA table itself:
 Binding a parameter vector is therefore ONE NumPy affine map
 ``angles = coeffs * theta[param_indices] + offsets`` (with a batched
 ``(B, P)`` variant used by :class:`~repro.simulator.batched.
-BatchedStatevectorSimulator`), replacing the per-op Python branch of the
-legacy :class:`~repro.circuits.program.CompiledProgram` path.
+BatchedStatevectorSimulator`) instead of a per-op Python branch.
+:class:`~repro.compiler.passes.LowerToPlan` builds plans straight from
+circuits.
 
 Plans also remember their *pre-fusion* single-/two-qubit gate counts so
 noise modelling (global-depolarizing survival factors) keeps seeing the
@@ -30,7 +31,6 @@ import numpy as np
 
 from repro.circuits.gates import stacked_gate_matrices
 from repro.circuits.parameter import Parameter
-from repro.circuits.program import CompiledProgram
 
 # -- kernel classes -----------------------------------------------------------
 #
@@ -240,44 +240,3 @@ class GatePlan:
             f"params={self.num_parameters}, fused={self.fused})"
         )
 
-
-def lower_program(program: CompiledProgram, *, key: Optional[str] = None) -> GatePlan:
-    """Lower a legacy :class:`CompiledProgram` into an (unfused) plan.
-
-    The compiler's lowering pass routes through
-    :func:`repro.circuits.program.compile_circuit` and this function, so
-    there is exactly one circuit-walking implementation in the codebase.
-    """
-    ops: List[PlanOp] = []
-    param_indices: List[int] = []
-    coeffs: List[float] = []
-    offsets: List[float] = []
-    slot_gate_names: List[str] = []
-    singles = 0
-    twos = 0
-    for op in program.ops:
-        if len(op.qubits) == 2:
-            twos += 1
-        else:
-            singles += 1
-        if op.matrix is not None:
-            ops.append(PlanOp(op.qubits, matrix=op.matrix))
-            continue
-        slot = len(param_indices)
-        param_indices.append(op.param_index)
-        coeffs.append(op.coeff)
-        offsets.append(op.offset)
-        slot_gate_names.append(op.gate_name)
-        ops.append(PlanOp(op.qubits, gate_name=op.gate_name, slot=slot))
-    return GatePlan(
-        program.num_qubits,
-        ops,
-        program.parameters,
-        np.asarray(param_indices, dtype=np.intp),
-        np.asarray(coeffs, dtype=float),
-        np.asarray(offsets, dtype=float),
-        tuple(slot_gate_names),
-        source_gate_counts=(singles, twos),
-        fused=False,
-        key=key,
-    )

@@ -52,7 +52,7 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import GATES
-from repro.compiler.cache import PLAN_CACHE, circuit_fingerprint, fusion_enabled
+from repro.compiler.cache import PLAN_CACHE, circuit_fingerprint
 from repro.compiler.ir import PlanOp, kernel_class_of_matrix
 from repro.compiler.passes import (
     MAX_FUSION_SUPPORT,
@@ -332,21 +332,20 @@ def compile_noise_plan(
     circuit: QuantumCircuit,
     noise_model,
     *,
-    fusion: Optional[bool] = None,
+    fusion: bool = True,
     cache: bool = True,
 ) -> NoisePlan:
     """Compile a (circuit, noise model) pair into a cached, fused plan.
 
-    ``fusion`` defaults to the ``REPRO_FUSION`` environment switch, like
-    the noiseless :func:`~repro.compiler.api.compile_plan`. Caching
-    requires the noise model to expose a content ``fingerprint()``.
+    ``fusion=False`` keeps the unfused plan, like the noiseless
+    :func:`~repro.compiler.api.compile_plan`. Caching requires the noise
+    model to expose a content ``fingerprint()``.
     """
-    fuse = fusion_enabled() if fusion is None else bool(fusion)
     model_fingerprint = noise_fingerprint(noise_model)
 
     def build(key: Optional[str] = None) -> NoisePlan:
         plan = lower_noise_plan(circuit, noise_model, key=key)
-        plan = fuse_noise_plan(plan) if fuse else plan
+        plan = fuse_noise_plan(plan) if fusion else plan
         _maybe_verify(plan, circuit, noise_model)
         return plan
 
@@ -354,6 +353,6 @@ def compile_noise_plan(
         return build()
     key = "noise:" + circuit_fingerprint(
         circuit,
-        extra=(model_fingerprint, "fused" if fuse else "raw"),
+        extra=(model_fingerprint, "fused" if fusion else "raw"),
     )
     return PLAN_CACHE.get_or_build(key, lambda: build(key))

@@ -30,9 +30,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.parameter import Parameter
-from repro.circuits.program import compile_circuit
-from repro.compiler.ir import GatePlan, PlanOp, lower_program
+from repro.circuits.gates import GATES
+from repro.circuits.parameter import Parameter, ParameterExpression
+from repro.compiler.ir import GatePlan, PlanOp
 from repro.obs import METRICS, TRACER
 from repro.transpiler.basis import translate_to_basis
 from repro.transpiler.layout import (
@@ -231,13 +231,71 @@ class TrimIdleWires(Pass):
 
 
 class LowerToPlan(Pass):
-    """Lower the circuit to the SoA :class:`GatePlan` IR."""
+    """Lower the circuit to the SoA :class:`GatePlan` IR.
+
+    Barriers are dropped. Fixed gates pre-compute their matrices; each
+    single-parameter gate becomes one row ``angle = coeff *
+    theta[param_index] + offset`` of the plan's parameter table, indexed
+    against ``unit.parameters`` (default: the circuit's first-appearance
+    order). Gates with several symbolic parameters must be bound first.
+    """
 
     name = "lower"
 
     def run(self, unit: CompilationUnit) -> CompilationUnit:
-        program = compile_circuit(unit.circuit, unit.parameters)
-        unit.plan = lower_program(program)
+        circuit = unit.circuit
+        parameters = (
+            circuit.parameters if unit.parameters is None else unit.parameters
+        )
+        index_of = {param: i for i, param in enumerate(parameters)}
+        ops: List[PlanOp] = []
+        param_indices: List[int] = []
+        coeffs: List[float] = []
+        offsets: List[float] = []
+        slot_gate_names: List[str] = []
+        singles = twos = 0
+        for inst in circuit:
+            if inst.name == "barrier":
+                continue
+            if len(inst.qubits) == 2:
+                twos += 1
+            else:
+                singles += 1
+            spec = GATES[inst.name]
+            if not inst.is_parameterized:
+                matrix = spec.matrix(tuple(float(p) for p in inst.params))
+                ops.append(PlanOp(inst.qubits, matrix=matrix))
+                continue
+            if spec.num_params != 1:
+                raise ValueError(
+                    f"parameterized gate {inst.name!r} with {spec.num_params}"
+                    " params is not supported in compiled plans; bind it first"
+                )
+            expr = inst.params[0]
+            if not isinstance(expr, ParameterExpression):
+                raise TypeError("expected a ParameterExpression")
+            if expr.parameter not in index_of:
+                raise KeyError(
+                    f"parameter {expr.parameter.name!r} missing from "
+                    "parameter ordering"
+                )
+            ops.append(
+                PlanOp(inst.qubits, gate_name=inst.name, slot=len(param_indices))
+            )
+            param_indices.append(index_of[expr.parameter])
+            coeffs.append(expr.coeff)
+            offsets.append(expr.offset)
+            slot_gate_names.append(inst.name)
+        unit.plan = GatePlan(
+            circuit.num_qubits,
+            ops,
+            tuple(parameters),
+            np.asarray(param_indices, dtype=np.intp),
+            np.asarray(coeffs, dtype=float),
+            np.asarray(offsets, dtype=float),
+            tuple(slot_gate_names),
+            source_gate_counts=(singles, twos),
+        )
         return unit
 
 

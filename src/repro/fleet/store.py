@@ -30,7 +30,10 @@ suite drive exactly these windows.
 
 One connection serves all worker threads, guarded by a lock
 (``check_same_thread=False``); SQLite serializes writes anyway, and the
-fleet's write rate is one row per job transition.
+fleet's write rate is one row per job transition. Several stores may
+open the same database file: inserts tolerate a concurrent writer's row,
+and a transition whose statement fails rolls back, so it never leaves
+the file's write lock held for the other connections.
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.faults.inject import INJECTOR
 from repro.runtime.results import RunResult
@@ -180,6 +184,21 @@ class JobStore:
 
     # -- job transitions ----------------------------------------------------
 
+    @contextmanager
+    def _writing(self) -> Iterator[None]:
+        """Hold the lock for one write; roll the transaction back on error.
+
+        A failed statement (lock timeout, constraint) leaves SQLite's
+        implicit transaction open and holding the write lock, which would
+        stall every other connection to the same file until it times out.
+        """
+        with self._lock:
+            try:
+                yield
+            except BaseException:
+                self._conn.rollback()
+                raise
+
     def enqueue(self, spec: RunSpec, tick: int = 0) -> JobRecord:
         """Submit a spec; returns the (possibly pre-existing) record.
 
@@ -191,19 +210,22 @@ class JobStore:
         * ``queued``/``running`` — returned as-is (attach to in-flight job).
         """
         INJECTOR.fire("jobstore.enqueue", run_id=spec.run_id)
-        with self._lock:
-            existing = self._fetch_locked(spec.run_id)
-            if existing is None:
-                self._conn.execute(
-                    "INSERT INTO jobs (run_id, spec, status, submitted_tick)"
-                    " VALUES (?, ?, ?, ?)",
-                    (spec.run_id, json.dumps(spec.to_dict()), QUEUED, tick),
-                )
+        with self._writing():
+            # Another store on the same file may insert the row between a
+            # read and this write, so the insert itself decides.
+            inserted = self._conn.execute(
+                "INSERT INTO jobs (run_id, spec, status, submitted_tick)"
+                " VALUES (?, ?, ?, ?) ON CONFLICT(run_id) DO NOTHING",
+                (spec.run_id, json.dumps(spec.to_dict()), QUEUED, tick),
+            ).rowcount
+            if inserted:
                 self.results.journal_append(
                     "enqueue", spec.run_id, tick=tick
                 )
                 self._conn.commit()
                 return JobRecord(spec.run_id, spec, QUEUED, submitted_tick=tick)
+            self._conn.commit()
+            existing = self._fetch_locked(spec.run_id)
             if existing.status == DONE and not self._payload_available_locked(
                 spec.run_id
             ):
@@ -268,7 +290,7 @@ class JobStore:
         what makes a resumed drain safe against straggling workers.
         """
         INJECTOR.fire("jobstore.mark_done", run_id=run_id)
-        with self._lock:
+        with self._writing():
             row = self._conn.execute(
                 "SELECT status, device FROM jobs WHERE run_id=?", (run_id,)
             ).fetchone()
@@ -292,7 +314,7 @@ class JobStore:
 
     def mark_failed(self, run_id: str, error: str, tick: int) -> None:
         """Flip a job to ``failed`` (idempotent on already-failed rows)."""
-        with self._lock:
+        with self._writing():
             row = self._conn.execute(
                 "SELECT status, device FROM jobs WHERE run_id=?", (run_id,)
             ).fetchone()
@@ -317,7 +339,7 @@ class JobStore:
         dispatch loop and backs off on the fleet clock (the service owns
         the backoff — the store only records the lifecycle).
         """
-        with self._lock:
+        with self._writing():
             row = self._conn.execute(
                 "SELECT status, attempts, device FROM jobs WHERE run_id=?",
                 (run_id,),
@@ -354,7 +376,7 @@ class JobStore:
         """
         if count < 1:
             raise ValueError("count must be >= 1")
-        with self._lock:
+        with self._writing():
             self._conn.execute(
                 "UPDATE jobs SET defers = defers + ? WHERE run_id=?",
                 (count, run_id),
@@ -365,7 +387,7 @@ class JobStore:
         self, run_id: str, status: str, allowed, extra: str, params,
         journal=None,
     ) -> None:
-        with self._lock:
+        with self._writing():
             row = self._conn.execute(
                 "SELECT status FROM jobs WHERE run_id=?", (run_id,)
             ).fetchone()
@@ -389,7 +411,7 @@ class JobStore:
 
     def requeue_running(self) -> int:
         """Crash recovery: put any ``running`` jobs back in the queue."""
-        with self._lock:
+        with self._writing():
             stranded = [
                 row["run_id"]
                 for row in self._conn.execute(
@@ -429,7 +451,7 @@ class JobStore:
         database's inline ``jobs.result`` JSON is honored as a fallback
         and backfilled so the next read hits the store.
         """
-        with self._lock:
+        with self._writing():
             row = self._conn.execute(
                 "SELECT result, device FROM jobs WHERE run_id=? AND status=?",
                 (run_id, DONE),
@@ -497,7 +519,7 @@ class JobStore:
     def accumulate_telemetry(self, snapshot: Dict[str, Any]) -> None:
         """Fold a :meth:`FleetTelemetry.snapshot` into the persistent
         rollup (counters add across service lifetimes)."""
-        with self._lock:
+        with self._writing():
             for device, counters in snapshot.get("devices", {}).items():
                 self._conn.execute(
                     "INSERT INTO telemetry"

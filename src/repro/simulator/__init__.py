@@ -9,22 +9,15 @@ batched quantum-trajectory simulator (stochastic channel unraveling over
 an ensemble of pure states, sharing the batched gate kernels).
 
 All four route gate application through :mod:`repro.simulator.kernels`:
-``REPRO_KERNEL=pair`` (the default) selects the bit-indexed in-place
-kernels, ``REPRO_KERNEL=tensordot`` the historic reshape + ``tensordot``
-reference path.
+bit-indexed in-place kernels, with the reshape + ``tensordot`` reference
+(:func:`apply_gate_tensordot`) as the route for small states.
 """
 
 from repro.simulator import kernels
-from repro.simulator.kernels import (
-    ENGINE_PAIR,
-    ENGINE_TENSORDOT,
-    apply_gate_tensordot,
-    kernel_engine,
-)
+from repro.simulator.kernels import apply_gate_tensordot
 from repro.simulator.statevector import StatevectorSimulator, simulate_statevector
 from repro.simulator.batched import (
     BatchedStatevectorSimulator,
-    apply_gate_batched,
     simulate_statevectors,
 )
 from repro.simulator.density_matrix import DensityMatrixSimulator
@@ -42,15 +35,11 @@ from repro.simulator.expectation import (
 )
 
 __all__ = [
-    "ENGINE_PAIR",
-    "ENGINE_TENSORDOT",
     "apply_gate_tensordot",
-    "kernel_engine",
     "kernels",
     "StatevectorSimulator",
     "simulate_statevector",
     "BatchedStatevectorSimulator",
-    "apply_gate_batched",
     "simulate_statevectors",
     "DensityMatrixSimulator",
     "TrajectorySimulator",

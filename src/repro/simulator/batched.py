@@ -10,13 +10,12 @@ NumPy contraction, amortizing the per-gate overhead across the batch.
 
 Two contraction kinds cover a compiled plan:
 
-* static gates share one matrix across the batch — a single ``tensordot``
-  over the (shifted-by-one) qubit axes;
+* static gates share one matrix across the batch — one kernel call over
+  the (shifted-by-one) qubit axes;
 * parameterized gates have a *different* matrix per batch element — the
   whole ``(B, num_param_ops)`` angle table is built in one affine map
   (:meth:`repro.compiler.GatePlan.bind_angles_batch`), each op's matrices
-  are stacked into ``(B, 2**k, 2**k)``, and contracted with batched
-  ``matmul``.
+  are stacked into ``(B, 2**k, 2**k)`` and applied elementwise.
 
 Numerics: the same complex128 arithmetic as the serial path; results
 agree with per-element serial simulation to floating-point
@@ -26,7 +25,7 @@ and energies — see ``tests/test_batched_equivalence.py``).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -35,42 +34,16 @@ from repro.circuits.gates import (
     STACKED_GATE_BUILDERS as BATCHED_GATE_BUILDERS,
     stacked_gate_matrices as batched_gate_matrices,
 )
-from repro.circuits.program import CompiledProgram
 from repro.compiler import GatePlan, compile_plan
 from repro.obs import TRACER
 from repro.simulator import kernels
-from repro.simulator.kernels import ENGINE_TENSORDOT, PendingOneQubitGates
 
 __all__ = [
     "BATCHED_GATE_BUILDERS",
     "BatchedStatevectorSimulator",
-    "apply_gate_batched",
-    "apply_gates_elementwise",
     "batched_gate_matrices",
     "simulate_statevectors",
 ]
-
-
-def apply_gate_batched(
-    states: np.ndarray, matrix: np.ndarray, qubits: Tuple[int, ...]
-) -> np.ndarray:
-    """Apply one shared gate matrix to a ``(B, 2, ..., 2)`` state batch.
-
-    The shared tensordot reference with every qubit axis shifted one
-    right to make room for the batch axis.
-    """
-    return kernels.apply_gate_tensordot(states, matrix, qubits, batch_axes=1)
-
-
-def apply_gates_elementwise(
-    states: np.ndarray, matrices: np.ndarray, qubits: Tuple[int, ...]
-) -> np.ndarray:
-    """Apply per-batch-element gate matrices ``(B, 2**k, 2**k)``.
-
-    Used for parameterized gates, where each batch element carries its
-    own angle; delegates to the shared batched-matmul reference.
-    """
-    return kernels.apply_gates_elementwise_reference(states, matrices, qubits)
 
 
 class BatchedStatevectorSimulator:
@@ -102,15 +75,6 @@ class BatchedStatevectorSimulator:
             (batch,) + (2,) * self.num_qubits
         )
 
-    def _validate_thetas(self, thetas: np.ndarray, num_parameters: int) -> np.ndarray:
-        thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim != 2 or thetas.shape[1] != num_parameters:
-            raise ValueError(
-                f"expected thetas of shape (B, {num_parameters}), "
-                f"got {thetas.shape}"
-            )
-        return thetas
-
     def run_plan(
         self,
         plan: GatePlan,
@@ -121,167 +85,43 @@ class BatchedStatevectorSimulator:
 
         The whole ``(B, num_param_ops)`` angle table is one affine NumPy
         map; per-op matrix stacks are built by the vectorized constructors
-        in :mod:`repro.circuits.gates`.
+        in :mod:`repro.circuits.gates`. Static ops apply their shared
+        matrix, parameterized ops their per-element stack, through the
+        shared fused run loop (:func:`repro.simulator.kernels.run_fused`).
+        Returns the final ``(B,) + (2,) * n`` state tensor batch.
         """
         if plan.num_qubits != self.num_qubits:
             raise ValueError("plan qubit count mismatch")
-        thetas = self._validate_thetas(thetas, plan.num_parameters)
-        states = self._initial(thetas.shape[0], initial_states)
         angles = plan.bind_angles_batch(thetas)
-        if kernels.kernel_engine() != ENGINE_TENSORDOT:
-            return self._run_plan_pair(plan, angles, states)
-        tracer = TRACER
-        if not tracer.enabled:
-            for op in plan.ops:
-                if op.matrix is not None:
-                    states = apply_gate_batched(states, op.matrix, op.qubits)
-                else:
-                    matrices = batched_gate_matrices(op.gate_name, angles[:, op.slot])
-                    states = apply_gates_elementwise(states, matrices, op.qubits)
-            return states
-        with tracer.span(
+        batch = angles.shape[0]
+        states = self._initial(batch, initial_states)
+        matrices = [
+            batched_gate_matrices(name, angles[:, slot])
+            for slot, name in enumerate(plan.slot_gate_names)
+        ]
+        with TRACER.span(
             "sim.batched.run_plan", category="kernel",
-            ops=len(plan.ops), batch=int(thetas.shape[0]),
+            ops=len(plan.ops), batch=batch,
             state_size=2**plan.num_qubits,
         ):
-            for op in plan.ops:
-                with tracer.kernel_span(
-                    "kernel.batched.gate", sites=len(op.qubits),
-                    state_size=states.size,
-                ):
-                    if op.matrix is not None:
-                        states = apply_gate_batched(states, op.matrix, op.qubits)
-                    else:
-                        matrices = batched_gate_matrices(
-                            op.gate_name, angles[:, op.slot]
-                        )
-                        states = apply_gates_elementwise(
-                            states, matrices, op.qubits
-                        )
-        return states
-
-    def _run_plan_pair(
-        self, plan: GatePlan, angles: np.ndarray, states: np.ndarray
-    ) -> np.ndarray:
-        """Pair-engine plan execution over the batch.
-
-        Static ops apply their shared matrix through the bit-indexed
-        kernels; parameterized ops carry per-element ``(B, 2**k, 2**k)``
-        stacks.  Single-qubit ops of either kind accumulate per target
-        qubit (``matmul`` broadcasting merges shared into per-element
-        products) and flush as one kernel call each.
-        """
-        scratch = np.empty_like(states)
-        pending = PendingOneQubitGates(plan.num_qubits)
-        tracer = TRACER
-        traced = tracer.enabled
-        span = (
-            tracer.span(
-                "sim.batched.run_plan", category="kernel",
-                ops=len(plan.ops), batch=int(states.shape[0]),
-                state_size=2**plan.num_qubits,
+            return kernels.run_fused(
+                plan, matrices, states, batch_axes=1,
+                gate_span="kernel.batched.gate",
             )
-            if traced
-            else None
-        )
-
-        def dispatch(matrix, qubits, kernel_class):
-            nonlocal states, scratch
-            if matrix.ndim == 3:
-                out = kernels.apply_gates_elementwise(
-                    states, matrix, qubits, kernel_class=kernel_class,
-                    engine="pair", scratch=scratch, in_place=True,
-                )
-            else:
-                out = kernels.apply_gate(
-                    states, matrix, qubits, batch_axes=1,
-                    kernel_class=kernel_class, engine="pair",
-                    scratch=scratch, in_place=True,
-                )
-            if out is not states:
-                states, scratch = out, states
-
-        def apply(matrix, qubits, kernel_class):
-            if traced:
-                with tracer.kernel_span(
-                    "kernel.batched.gate", sites=len(qubits),
-                    state_size=states.size,
-                ):
-                    dispatch(matrix, qubits, kernel_class)
-            else:
-                dispatch(matrix, qubits, kernel_class)
-
-        window = kernels.fusion_window(apply, states.size)
-
-        def run() -> None:
-            for op in plan.ops:
-                if op.matrix is not None:
-                    matrix = op.matrix
-                else:
-                    matrix = batched_gate_matrices(op.gate_name, angles[:, op.slot])
-                if len(op.qubits) == 1:
-                    pending.push(op.qubits[0], matrix, op.kernel_class)
-                    continue
-                kernel_class = op.kernel_class
-                if len(op.qubits) == 2:
-                    matrix, kernel_class = kernels.absorb_pending_2q(
-                        pending, matrix, op.qubits, kernel_class
-                    )
-                else:
-                    window.flush()
-                    for qubit in op.qubits:
-                        held = pending.pop(qubit)
-                        if held is not None:
-                            apply(held[0], (qubit,), held[1])
-                window.push(matrix, op.qubits, kernel_class)
-            window.flush()
-            kernels.flush_pending_paired(pending, apply)
-
-        if span is None:
-            run()
-        else:
-            with span:
-                run()
-        return states
-
-    def run_program(
-        self,
-        program: Union[CompiledProgram, GatePlan],
-        thetas: np.ndarray,
-        initial_states: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Run a compiled program (or plan) for a ``(B, P)`` batch.
-
-        Returns the final ``(B,) + (2,) * n`` state tensor batch.
-        """
-        if isinstance(program, GatePlan):
-            return self.run_plan(program, thetas, initial_states)
-        if program.num_qubits != self.num_qubits:
-            raise ValueError("program qubit count mismatch")
-        thetas = self._validate_thetas(thetas, program.num_parameters)
-        states = self._initial(thetas.shape[0], initial_states)
-        for op in program.ops:
-            if op.matrix is not None:
-                states = apply_gate_batched(states, op.matrix, op.qubits)
-            else:
-                angles = op.coeff * thetas[:, op.param_index] + op.offset
-                matrices = batched_gate_matrices(op.gate_name, angles)
-                states = apply_gates_elementwise(states, matrices, op.qubits)
-        return states
 
     def run_flat(
         self,
-        program: Union[CompiledProgram, GatePlan],
+        plan: GatePlan,
         thetas: np.ndarray,
         initial_states: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Like :meth:`run_program` but returns ``(B, 2**n)`` flat vectors."""
-        states = self.run_program(program, thetas, initial_states)
+        """Like :meth:`run_plan` but returns ``(B, 2**n)`` flat vectors."""
+        states = self.run_plan(plan, thetas, initial_states)
         return states.reshape(states.shape[0], -1)
 
 
 def simulate_statevectors(
-    circuit_or_program: Union[QuantumCircuit, CompiledProgram, GatePlan],
+    circuit_or_plan: Union[QuantumCircuit, GatePlan],
     thetas: np.ndarray,
 ) -> np.ndarray:
     """Convenience wrapper: ``(B, P)`` parameters to ``(B, 2**n)`` vectors.
@@ -290,9 +130,9 @@ def simulate_statevectors(
     :func:`repro.simulator.statevector.simulate_statevector`. Circuits
     compile through the shared plan cache.
     """
-    if isinstance(circuit_or_program, (CompiledProgram, GatePlan)):
-        program = circuit_or_program
+    if isinstance(circuit_or_plan, GatePlan):
+        plan = circuit_or_plan
     else:
-        program = compile_plan(circuit_or_program)
-    simulator = BatchedStatevectorSimulator(program.num_qubits)
-    return simulator.run_flat(program, np.asarray(thetas, dtype=float))
+        plan = compile_plan(circuit_or_plan)
+    simulator = BatchedStatevectorSimulator(plan.num_qubits)
+    return simulator.run_flat(plan, np.asarray(thetas, dtype=float))

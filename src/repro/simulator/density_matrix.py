@@ -29,7 +29,7 @@ from repro.compiler.ir import KERNEL_DIAGONAL
 from repro.compiler.noise_plan import kraus_superoperator
 from repro.obs import TRACER
 from repro.simulator import kernels
-from repro.simulator.kernels import ENGINE_TENSORDOT
+from repro.simulator.kernels import apply_gate_tensordot
 
 
 class DensityMatrixSimulator:
@@ -61,29 +61,16 @@ class DensityMatrixSimulator:
 
     # -- evolution ---------------------------------------------------------------
 
-    def _apply_operator_left(
-        self, rho: np.ndarray, matrix: np.ndarray, qubits: Tuple[int, ...]
-    ) -> np.ndarray:
-        k = len(qubits)
-        tensor = matrix.reshape((2,) * (2 * k))
-        rho = np.tensordot(tensor, rho, axes=(tuple(range(k, 2 * k)), qubits))
-        return np.moveaxis(rho, tuple(range(k)), qubits)
-
-    def _apply_operator_right(
-        self, rho: np.ndarray, matrix: np.ndarray, qubits: Tuple[int, ...]
-    ) -> np.ndarray:
-        # rho @ M^dagger acting on bra axes.
-        k = len(qubits)
-        bra_axes = tuple(self.num_qubits + q for q in qubits)
-        tensor = matrix.conj().reshape((2,) * (2 * k))
-        rho = np.tensordot(tensor, rho, axes=(tuple(range(k, 2 * k)), bra_axes))
-        return np.moveaxis(rho, tuple(range(k)), bra_axes)
+    def _bra(self, qubits: Tuple[int, ...]) -> Tuple[int, ...]:
+        """Tensor axes of the bra indices of ``qubits``."""
+        return tuple(self.num_qubits + q for q in qubits)
 
     def apply_unitary(
         self, rho: np.ndarray, matrix: np.ndarray, qubits: Tuple[int, ...]
     ) -> np.ndarray:
-        rho = self._apply_operator_left(rho, matrix, qubits)
-        return self._apply_operator_right(rho, matrix, qubits)
+        """``U rho U^dagger`` through the tensordot reference."""
+        rho = apply_gate_tensordot(rho, matrix, qubits)
+        return apply_gate_tensordot(rho, matrix.conj(), self._bra(qubits))
 
     def _apply_unitary_pair(
         self,
@@ -92,7 +79,6 @@ class DensityMatrixSimulator:
         qubits: Tuple[int, ...],
         kernel_class: Optional[str],
         scratch: np.ndarray,
-        engine: str,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Left/right multiplication through the bit-indexed kernels.
 
@@ -102,19 +88,13 @@ class DensityMatrixSimulator:
         ``n + q`` (conjugation preserves the kernel class).  Returns the
         updated ``(rho, scratch)`` ping-pong pair.
         """
-        out = kernels.apply_gate(
-            rho, matrix, qubits, kernel_class=kernel_class,
-            engine=engine, scratch=scratch, in_place=True,
-        )
-        if out is not rho:
-            rho, scratch = out, rho
-        bra_qubits = tuple(self.num_qubits + q for q in qubits)
-        out = kernels.apply_gate(
-            rho, matrix.conj(), bra_qubits, kernel_class=kernel_class,
-            engine=engine, scratch=scratch, in_place=True,
-        )
-        if out is not rho:
-            rho, scratch = out, rho
+        for target, operator in ((qubits, matrix), (self._bra(qubits), matrix.conj())):
+            out = kernels.apply_gate(
+                rho, operator, target, kernel_class=kernel_class,
+                scratch=scratch, in_place=True,
+            )
+            if out is not rho:
+                rho, scratch = out, rho
         return rho, scratch
 
     def apply_superop(
@@ -127,13 +107,9 @@ class DensityMatrixSimulator:
         ONE tensordot over ``2k`` tensor axes, the same cost shape as a
         ``2k``-qubit gate on a statevector.
         """
-        k = len(qubits)
-        axes = tuple(qubits) + tuple(self.num_qubits + q for q in qubits)
-        tensor = superop.reshape((2,) * (4 * k))
-        rho = np.tensordot(
-            tensor, rho, axes=(tuple(range(2 * k, 4 * k)), axes)
+        return apply_gate_tensordot(
+            rho, superop, tuple(qubits) + self._bra(qubits)
         )
-        return np.moveaxis(rho, tuple(range(2 * k)), axes)
 
     def apply_kraus(
         self,
@@ -173,8 +149,7 @@ class DensityMatrixSimulator:
         """
         result = None
         for op in kraus_ops:
-            term = self._apply_operator_left(rho, op, qubits)
-            term = self._apply_operator_right(term, op, qubits)
+            term = self.apply_unitary(rho, op, qubits)
             result = term if result is None else result + term
         if result is None:
             raise ValueError("empty Kraus operator list")
@@ -195,51 +170,28 @@ class DensityMatrixSimulator:
         if plan.num_qubits != self.num_qubits:
             raise ValueError("plan qubit count mismatch")
         rho = self._as_tensor(initial_state)
-        engine = kernels.kernel_engine()
-        if engine != ENGINE_TENSORDOT:
-            matrices = plan.slot_matrices(plan.bind_angles(theta))
-            scratch = np.empty_like(rho)
-            tracer = TRACER
-            if not tracer.enabled:
-                for op in plan.ops:
-                    matrix = (
-                        op.matrix if op.matrix is not None else matrices[op.slot]
-                    )
-                    rho, scratch = self._apply_unitary_pair(
-                        rho, matrix, op.qubits, op.kernel_class, scratch, engine
-                    )
-                return rho
-            with tracer.span(
-                "sim.density_matrix.run_plan", category="kernel",
-                ops=len(plan.ops), state_size=4**plan.num_qubits,
-            ):
-                for op in plan.ops:
-                    matrix = (
-                        op.matrix if op.matrix is not None else matrices[op.slot]
-                    )
-                    with tracer.kernel_span(
-                        "kernel.dm.unitary", sites=len(op.qubits),
-                        state_size=rho.size,
-                    ):
-                        rho, scratch = self._apply_unitary_pair(
-                            rho, matrix, op.qubits, op.kernel_class,
-                            scratch, engine,
-                        )
-            return rho
+        matrices = plan.slot_matrices(plan.bind_angles(theta))
+        scratch = np.empty_like(rho)
         tracer = TRACER
-        if not tracer.enabled:
-            for qubits, matrix in plan.op_matrices(theta):
-                rho = self.apply_unitary(rho, matrix, qubits)
-            return rho
+        traced = tracer.enabled
         with tracer.span(
             "sim.density_matrix.run_plan", category="kernel",
             ops=len(plan.ops), state_size=4**plan.num_qubits,
         ):
-            for qubits, matrix in plan.op_matrices(theta):
+            for op in plan.ops:
+                matrix = op.matrix if op.matrix is not None else matrices[op.slot]
+                if not traced:
+                    rho, scratch = self._apply_unitary_pair(
+                        rho, matrix, op.qubits, op.kernel_class, scratch
+                    )
+                    continue
                 with tracer.kernel_span(
-                    "kernel.dm.unitary", sites=len(qubits), state_size=rho.size
+                    "kernel.dm.unitary", sites=len(op.qubits),
+                    state_size=rho.size,
                 ):
-                    rho = self.apply_unitary(rho, matrix, qubits)
+                    rho, scratch = self._apply_unitary_pair(
+                        rho, matrix, op.qubits, op.kernel_class, scratch
+                    )
         return rho
 
     def run_noise_plan(
@@ -250,74 +202,25 @@ class DensityMatrixSimulator:
         """Execute a channel-aware noise plan.
 
         Unitary ops (pre-fused between channel sites) conjugate the
-        state; channel ops apply their pre-stacked Kraus array through
-        the vectorized :meth:`apply_kraus`.
+        state through the bit-indexed kernels; channel sites apply their
+        pre-compiled superoperator as one contraction
+        (:meth:`apply_superop`) or, when it is diagonal (pure dephasing),
+        as one in-place multiply on the combined ket/bra axes.
         """
         if plan.num_qubits != self.num_qubits:
             raise ValueError("plan qubit count mismatch")
         rho = self._as_tensor(initial_state)
-        engine = kernels.kernel_engine()
-        if engine != ENGINE_TENSORDOT:
-            return self._run_noise_plan_pair(plan, rho, engine)
-        tracer = TRACER
-        if not tracer.enabled:
-            for op in plan.ops:
-                if op.matrix is not None:
-                    rho = self.apply_unitary(rho, op.matrix, op.qubits)
-                else:
-                    rho = self.apply_superop(rho, op.superop, op.qubits)
-            return rho
-        with tracer.span(
-            "sim.density_matrix.run_noise_plan", category="kernel",
-            ops=len(plan.ops), state_size=4**plan.num_qubits,
-        ):
-            for op in plan.ops:
-                if op.matrix is not None:
-                    with tracer.kernel_span(
-                        "kernel.dm.unitary", sites=len(op.qubits),
-                        state_size=rho.size,
-                    ):
-                        rho = self.apply_unitary(rho, op.matrix, op.qubits)
-                else:
-                    with tracer.kernel_span(
-                        "kernel.dm.superop", sites=len(op.qubits),
-                        state_size=rho.size,
-                    ):
-                        rho = self.apply_superop(rho, op.superop, op.qubits)
-        return rho
-
-    def _run_noise_plan_pair(
-        self, plan: NoisePlan, rho: np.ndarray, engine: str
-    ) -> np.ndarray:
-        """Pair-engine noisy execution.
-
-        Unitary sites ride the bit-indexed left/right multiplications;
-        channel sites keep the single-tensordot superoperator contraction
-        — except *diagonal* superoperators (pure-dephasing channels),
-        which apply as one in-place elementwise multiply on the combined
-        ket/bra axes.
-        """
         scratch = np.empty_like(rho)
         tracer = TRACER
         traced = tracer.enabled
-        span = (
-            tracer.span(
-                "sim.density_matrix.run_noise_plan", category="kernel",
-                ops=len(plan.ops), state_size=4**plan.num_qubits,
-            )
-            if traced
-            else None
-        )
 
         def superop_site(op) -> None:
             nonlocal rho, scratch
             if op.superop_class == KERNEL_DIAGONAL:
-                axes = tuple(op.qubits) + tuple(
-                    self.num_qubits + q for q in op.qubits
-                )
                 out = kernels.apply_gate(
-                    rho, op.superop, axes, kernel_class=KERNEL_DIAGONAL,
-                    engine=engine, scratch=scratch, in_place=True,
+                    rho, op.superop, tuple(op.qubits) + self._bra(op.qubits),
+                    kernel_class=KERNEL_DIAGONAL, scratch=scratch,
+                    in_place=True,
                 )
                 if out is not rho:
                     rho, scratch = out, rho
@@ -327,38 +230,29 @@ class DensityMatrixSimulator:
                     np.copyto(scratch, rho)
                     rho, scratch = scratch, rho
 
-        def run() -> None:
+        def step(op) -> None:
             nonlocal rho, scratch
-            for op in plan.ops:
-                if op.matrix is not None:
-                    if traced:
-                        with tracer.kernel_span(
-                            "kernel.dm.unitary", sites=len(op.qubits),
-                            state_size=rho.size,
-                        ):
-                            rho, scratch = self._apply_unitary_pair(
-                                rho, op.matrix, op.qubits, op.kernel_class,
-                                scratch, engine,
-                            )
-                    else:
-                        rho, scratch = self._apply_unitary_pair(
-                            rho, op.matrix, op.qubits, op.kernel_class,
-                            scratch, engine,
-                        )
-                elif traced:
-                    with tracer.kernel_span(
-                        "kernel.dm.superop", sites=len(op.qubits),
-                        state_size=rho.size,
-                    ):
-                        superop_site(op)
-                else:
-                    superop_site(op)
+            if op.matrix is not None:
+                rho, scratch = self._apply_unitary_pair(
+                    rho, op.matrix, op.qubits, op.kernel_class, scratch
+                )
+            else:
+                superop_site(op)
 
-        if span is None:
-            run()
-        else:
-            with span:
-                run()
+        with tracer.span(
+            "sim.density_matrix.run_noise_plan", category="kernel",
+            ops=len(plan.ops), state_size=4**plan.num_qubits,
+        ):
+            for op in plan.ops:
+                if not traced:
+                    step(op)
+                    continue
+                with tracer.kernel_span(
+                    "kernel.dm.unitary" if op.matrix is not None
+                    else "kernel.dm.superop",
+                    sites=len(op.qubits), state_size=rho.size,
+                ):
+                    step(op)
         return rho
 
     def run_circuit(

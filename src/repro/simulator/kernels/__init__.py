@@ -6,15 +6,15 @@ through :func:`apply_gate` / :func:`apply_gates_elementwise` here.
 Dispatch is a table lookup on the op's pre-lowered *kernel class*
 (:mod:`repro.compiler.ir`): diagonal and permutation matrices update the
 state **in place**, dense 1q/2q gates GEMM into a ping-pong ``scratch``
-buffer, and dense ``k >= 3`` operators fall back to the shared tensordot
-reference.  ``REPRO_KERNEL=tensordot`` routes everything through the
-reference implementation bit-identically to the historic per-simulator
-helpers.
+buffer, and dense ``k >= 3`` operators — like every state smaller than
+:data:`PAIR_MIN_STATE_SIZE` — take the tensordot reference
+(:mod:`repro.simulator.kernels.reference`).  The serial and batched
+statevector simulators share one fused run loop, :func:`run_fused`.
 
 Call convention for the run loops::
 
     out = apply_gate(state, matrix, qubits, kernel_class=op.kernel_class,
-                     engine=engine, scratch=scratch, in_place=True)
+                     scratch=scratch, in_place=True)
     if out is not state:
         state, scratch = out, state
 
@@ -29,7 +29,7 @@ Every application bumps ``kernel.<class>.calls`` and an estimated
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,17 +39,15 @@ from repro.compiler.ir import (
     KERNEL_CLASSES,
     KERNEL_DENSE,
     KERNEL_DIAGONAL,
+    GatePlan,
     kernel_class_of_matrix,
 )
+from repro.obs import TRACER
 from repro.obs.metrics import METRICS
 from repro.simulator.kernels.engine import (
     CHUNK_ENV,
-    ENGINE_ENV,
-    ENGINE_PAIR,
-    ENGINE_TENSORDOT,
     THREADS_ENV,
     kernel_chunk,
-    kernel_engine,
     kernel_threads,
 )
 from repro.simulator.kernels.pair import (
@@ -70,9 +68,6 @@ from repro.simulator.kernels.reference import (
 
 __all__ = [
     "CHUNK_ENV",
-    "ENGINE_ENV",
-    "ENGINE_PAIR",
-    "ENGINE_TENSORDOT",
     "FusionWindow",
     "KERNEL_CLASSES",
     "MAX_FUSED_SPAN",
@@ -87,9 +82,9 @@ __all__ = [
     "apply_gates_elementwise_reference",
     "flush_pending_paired",
     "kernel_chunk",
-    "kernel_engine",
     "kernel_threads",
     "kron_1q",
+    "run_fused",
 ]
 
 #: States smaller than this many elements route to the tensordot
@@ -129,7 +124,6 @@ def apply_gate(
     *,
     batch_axes: int = 0,
     kernel_class: Optional[str] = None,
-    engine: Optional[str] = None,
     scratch: Optional[np.ndarray] = None,
     in_place: bool = False,
 ) -> np.ndarray:
@@ -141,14 +135,9 @@ def apply_gate(
     the updated array — ``state`` itself for in-place classes, the
     ``scratch`` (or a fresh) buffer for dense classes.
     """
-    if engine is None:
-        engine = kernel_engine()
     if kernel_class is None:
         kernel_class = kernel_class_of_matrix(matrix)
     nbytes = state.nbytes
-    if engine == ENGINE_TENSORDOT:
-        _bump(kernel_class, 4 * nbytes)
-        return apply_gate_tensordot(state, matrix, qubits, batch_axes)
     n = state.ndim - batch_axes
     k = len(qubits)
     if (
@@ -216,7 +205,6 @@ def apply_gates_elementwise(
     qubits: Tuple[int, ...],
     *,
     kernel_class: Optional[str] = None,
-    engine: Optional[str] = None,
     scratch: Optional[np.ndarray] = None,
     in_place: bool = False,
 ) -> np.ndarray:
@@ -227,14 +215,9 @@ def apply_gates_elementwise(
     batch elements — when each element is large enough to amortize the
     per-call cost — or take the batched-matmul reference path.
     """
-    if engine is None:
-        engine = kernel_engine()
     if kernel_class is None:
         kernel_class = _elementwise_class(matrices)
     nbytes = states.nbytes
-    if engine == ENGINE_TENSORDOT:
-        _bump(kernel_class, 4 * nbytes)
-        return apply_gates_elementwise_reference(states, matrices, qubits)
     n = states.ndim - 1
     k = len(qubits)
     if not states.flags.c_contiguous or matrices.shape[1] != 1 << k:
@@ -534,3 +517,78 @@ def flush_pending_paired(pending: "PendingOneQubitGates", apply) -> None:
         else:
             apply(matrix, (qubit,), kernel_class)
             index += 1
+
+
+def run_fused(
+    plan: GatePlan,
+    slot_matrices: Sequence[np.ndarray],
+    state: np.ndarray,
+    batch_axes: int = 0,
+    gate_span: str = "kernel.sv.gate",
+) -> np.ndarray:
+    """Execute a gate plan on a state (or state batch) with run-loop fusion.
+
+    The one run loop of the serial and batched statevector simulators.
+    Single-qubit ops accumulate per target qubit
+    (:class:`PendingOneQubitGates`); a two-qubit op absorbs the pending
+    gates on its qubits (:func:`absorb_pending_2q`) and passes through
+    the block-fusion window (:func:`fusion_window`); wider ops flush
+    their qubits first; plan end flushes the window, then the pending
+    gates paired into quads (:func:`flush_pending_paired`).
+
+    ``slot_matrices[slot]`` is a parameterized op's matrix — shared
+    ``(2**k, 2**k)``, or a per-element ``(B, 2**k, 2**k)`` stack when
+    ``state`` carries ``batch_axes=1`` leading batch axis.  Matrices
+    apply through the dispatcher with a ping-pong scratch buffer; each
+    application is a sampled ``gate_span`` kernel span when tracing.
+    """
+    scratch = np.empty_like(state)
+    pending = PendingOneQubitGates(plan.num_qubits)
+    tracer = TRACER
+    traced = tracer.enabled
+
+    def dispatch(matrix, qubits, kernel_class):
+        nonlocal state, scratch
+        if matrix.ndim == 3:
+            out = apply_gates_elementwise(
+                state, matrix, qubits, kernel_class=kernel_class,
+                scratch=scratch, in_place=True,
+            )
+        else:
+            out = apply_gate(
+                state, matrix, qubits, batch_axes=batch_axes,
+                kernel_class=kernel_class, scratch=scratch, in_place=True,
+            )
+        if out is not state:
+            state, scratch = out, state
+
+    def apply(matrix, qubits, kernel_class):
+        if traced:
+            with tracer.kernel_span(
+                gate_span, sites=len(qubits), state_size=state.size
+            ):
+                dispatch(matrix, qubits, kernel_class)
+        else:
+            dispatch(matrix, qubits, kernel_class)
+
+    window = fusion_window(apply, state.size)
+    for op in plan.ops:
+        matrix = op.matrix if op.matrix is not None else slot_matrices[op.slot]
+        if len(op.qubits) == 1:
+            pending.push(op.qubits[0], matrix, op.kernel_class)
+            continue
+        kernel_class = op.kernel_class
+        if len(op.qubits) == 2:
+            matrix, kernel_class = absorb_pending_2q(
+                pending, matrix, op.qubits, kernel_class
+            )
+        else:
+            window.flush()
+            for qubit in op.qubits:
+                held = pending.pop(qubit)
+                if held is not None:
+                    apply(held[0], (qubit,), held[1])
+        window.push(matrix, op.qubits, kernel_class)
+    window.flush()
+    flush_pending_paired(pending, apply)
+    return state

@@ -1,13 +1,6 @@
-"""Kernel engine selection and execution knobs.
+"""Kernel execution knobs.
 
-Three environment variables configure the gate-application layer:
-
-``REPRO_KERNEL``
-    ``pair`` (default) routes gate application through the bit-indexed
-    in-place kernels in :mod:`repro.simulator.kernels.pair`;
-    ``tensordot`` preserves the historic reshape + ``tensordot`` + axis
-    restore path (:mod:`repro.simulator.kernels.reference`) as the
-    parity reference and working fallback.
+Two environment variables configure the gate-application layer:
 
 ``REPRO_KERNEL_THREADS``
     Worker threads for chunked dense updates (default 1 = serial).
@@ -27,12 +20,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
-ENGINE_ENV = "REPRO_KERNEL"
 THREADS_ENV = "REPRO_KERNEL_THREADS"
 CHUNK_ENV = "REPRO_KERNEL_CHUNK"
-
-ENGINE_PAIR = "pair"
-ENGINE_TENSORDOT = "tensordot"
 
 #: Default chunk size in state elements (complex128 => 1 MiB tiles).
 DEFAULT_CHUNK = 65536
@@ -43,10 +32,13 @@ _executor_size = 0
 
 
 def kernel_engine() -> str:
-    """Active engine name: ``tensordot`` opts out, everything else is pair."""
-    if os.environ.get(ENGINE_ENV, ENGINE_PAIR) == ENGINE_TENSORDOT:
-        return ENGINE_TENSORDOT
-    return ENGINE_PAIR
+    """The gate-application engine: always the bit-indexed ``pair`` kernels.
+
+    Kept so run manifests can record the resolved setting; the tensordot
+    reference is the small-state route inside the dispatcher, not an
+    engine of its own.
+    """
+    return "pair"
 
 
 def kernel_threads() -> int:

@@ -12,9 +12,10 @@ and ``trajectory.py`` each used to carry a near-identical copy of.  The
   batched and trajectory layouts, where qubit ``q`` lives on tensor
   axis ``q + 1``).
 
-The pair engine (:mod:`repro.simulator.kernels.pair`) is parity-tested
-against these functions to <= 1e-12, and ``REPRO_KERNEL=tensordot``
-routes every simulator back through them bit-identically.
+The dispatcher routes states below ``PAIR_MIN_STATE_SIZE`` (and
+non-contiguous dense operators) through these functions, and the tests
+use them as the oracle the pair kernels (:mod:`repro.simulator.kernels.
+pair`) and the fused run loop must match to <= 1e-12.
 """
 
 from __future__ import annotations

@@ -5,44 +5,25 @@ as the *first* tensor axis. Bitstring conventions elsewhere in the library
 print qubit 0 as the leftmost character.
 
 Execution consumes the compiler's :class:`~repro.compiler.GatePlan` IR;
-the legacy :class:`~repro.circuits.program.CompiledProgram` is still
-accepted for backward compatibility. ``run_circuit`` compiles through the
-shared plan cache, so repeated bound-circuit runs are compile-free.
-
-Gate application dispatches through :mod:`repro.simulator.kernels` on the
-ops' pre-lowered kernel classes: the default ``pair`` engine updates the
-state with bit-indexed in-place/ping-pong kernels, while
-``REPRO_KERNEL=tensordot`` preserves the historic reshape + ``tensordot``
-path bit-identically.
+``run_circuit`` compiles through the shared plan cache, so repeated
+bound-circuit runs are compile-free. Gates apply through the shared
+fused run loop, :func:`repro.simulator.kernels.run_fused`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.program import CompiledProgram
 from repro.compiler import GatePlan, compile_plan
 from repro.obs import TRACER
 from repro.simulator import kernels
-from repro.simulator.kernels import ENGINE_TENSORDOT, PendingOneQubitGates
-
-
-def apply_gate(
-    state: np.ndarray, matrix: np.ndarray, qubits: Tuple[int, ...]
-) -> np.ndarray:
-    """Apply a k-qubit gate matrix via the shared tensordot reference.
-
-    Returns the (possibly new) state tensor; callers must use the return
-    value because ``moveaxis`` produces views/copies.
-    """
-    return kernels.apply_gate_tensordot(state, matrix, qubits)
 
 
 class StatevectorSimulator:
-    """Executes gate plans / compiled programs / circuits on pure states."""
+    """Executes gate plans and circuits on pure states."""
 
     def __init__(self, num_qubits: int):
         if num_qubits < 1:
@@ -71,112 +52,12 @@ class StatevectorSimulator:
         if plan.num_qubits != self.num_qubits:
             raise ValueError("plan qubit count mismatch")
         state = self._initial(initial_state)
-        if kernels.kernel_engine() == ENGINE_TENSORDOT:
-            tracer = TRACER
-            if not tracer.enabled:
-                for qubits, matrix in plan.op_matrices(theta):
-                    state = apply_gate(state, matrix, qubits)
-                return state
-            with tracer.span(
-                "sim.statevector.run_plan", category="kernel",
-                ops=len(plan.ops), state_size=2**plan.num_qubits,
-            ):
-                for qubits, matrix in plan.op_matrices(theta):
-                    with tracer.kernel_span(
-                        "kernel.sv.gate", sites=len(qubits), state_size=state.size
-                    ):
-                        state = apply_gate(state, matrix, qubits)
-            return state
-        return self._run_plan_pair(plan, theta, state)
-
-    def _run_plan_pair(
-        self, plan: GatePlan, theta: Sequence[float], state: np.ndarray
-    ) -> np.ndarray:
-        """Pair-engine plan execution: ping-pong scratch + lazy 1q merge.
-
-        Consecutive single-qubit ops accumulate per target qubit
-        (:class:`~repro.simulator.kernels.PendingOneQubitGates`) and
-        flush as one kernel call when a multi-qubit op touches their
-        qubit or at plan end.
-        """
         matrices = plan.slot_matrices(plan.bind_angles(theta))
-        scratch = np.empty_like(state)
-        pending = PendingOneQubitGates(plan.num_qubits)
-        tracer = TRACER
-        traced = tracer.enabled
-        span = (
-            tracer.span(
-                "sim.statevector.run_plan", category="kernel",
-                ops=len(plan.ops), state_size=2**plan.num_qubits,
-            )
-            if traced
-            else None
-        )
-
-        def dispatch(matrix, qubits, kernel_class):
-            nonlocal state, scratch
-            out = kernels.apply_gate(
-                state, matrix, qubits, kernel_class=kernel_class,
-                engine="pair", scratch=scratch, in_place=True,
-            )
-            if out is not state:
-                state, scratch = out, state
-
-        def apply(matrix, qubits, kernel_class):
-            if traced:
-                with tracer.kernel_span(
-                    "kernel.sv.gate", sites=len(qubits),
-                    state_size=state.size,
-                ):
-                    dispatch(matrix, qubits, kernel_class)
-            else:
-                dispatch(matrix, qubits, kernel_class)
-
-        window = kernels.fusion_window(apply, state.size)
-
-        def run() -> None:
-            for op in plan.ops:
-                matrix = op.matrix if op.matrix is not None else matrices[op.slot]
-                if len(op.qubits) == 1:
-                    pending.push(op.qubits[0], matrix, op.kernel_class)
-                    continue
-                kernel_class = op.kernel_class
-                if len(op.qubits) == 2:
-                    matrix, kernel_class = kernels.absorb_pending_2q(
-                        pending, matrix, op.qubits, kernel_class
-                    )
-                else:
-                    window.flush()
-                    for qubit in op.qubits:
-                        held = pending.pop(qubit)
-                        if held is not None:
-                            apply(held[0], (qubit,), held[1])
-                window.push(matrix, op.qubits, kernel_class)
-            window.flush()
-            kernels.flush_pending_paired(pending, apply)
-
-        if span is None:
-            run()
-        else:
-            with span:
-                run()
-        return state
-
-    def run_program(
-        self,
-        program: Union[CompiledProgram, GatePlan],
-        theta: Sequence[float],
-        initial_state: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Run a compiled program (or plan) and return the final state."""
-        if isinstance(program, GatePlan):
-            return self.run_plan(program, theta, initial_state)
-        if program.num_qubits != self.num_qubits:
-            raise ValueError("program qubit count mismatch")
-        state = self._initial(initial_state)
-        for qubits, matrix in program.op_matrices(theta):
-            state = apply_gate(state, matrix, qubits)
-        return state
+        with TRACER.span(
+            "sim.statevector.run_plan", category="kernel",
+            ops=len(plan.ops), state_size=2**plan.num_qubits,
+        ):
+            return kernels.run_fused(plan, matrices, state)
 
     def run_circuit(
         self,
@@ -191,21 +72,20 @@ class StatevectorSimulator:
 
 
 def simulate_statevector(
-    circuit_or_program: Union[QuantumCircuit, CompiledProgram, GatePlan],
+    circuit_or_plan: Union[QuantumCircuit, GatePlan],
     theta: Sequence[float] = (),
 ) -> np.ndarray:
     """Convenience wrapper returning the flat statevector of length 2**n.
 
     The flattening uses qubit 0 as the most-significant bit, consistent with
-    the tensor layout. Accepts a circuit (compiled through the plan cache),
-    a :class:`GatePlan`, or a legacy :class:`CompiledProgram`.
+    the tensor layout. Accepts a circuit (compiled through the plan cache)
+    or a :class:`GatePlan`.
     """
-    if isinstance(circuit_or_program, (CompiledProgram, GatePlan)):
-        program = circuit_or_program
-        sim = StatevectorSimulator(program.num_qubits)
-        state = sim.run_program(program, theta)
+    if isinstance(circuit_or_plan, GatePlan):
+        plan = circuit_or_plan
+        state = StatevectorSimulator(plan.num_qubits).run_plan(plan, theta)
     else:
-        circuit = circuit_or_program
+        circuit = circuit_or_plan
         sim = StatevectorSimulator(circuit.num_qubits)
         if circuit.num_parameters:
             state = sim.run_plan(compile_plan(circuit), theta)

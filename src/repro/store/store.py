@@ -150,11 +150,14 @@ class ExperimentStore:
                 self._conn.commit()
                 return True
             self._put_blob(digest, payload)
-            self._conn.execute(
+            # A writer on another connection to the same file may have
+            # stored this run since the read above: theirs stands.
+            inserted = self._conn.execute(
                 "INSERT INTO runs (run_id, app, scheme, seed, shots,"
                 " trace_scale, iterations, device, source, ground_truth,"
                 " elapsed_s, created_at, spec, payload_hash)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+                " ON CONFLICT(run_id) DO NOTHING",
                 (
                     run.run_id,
                     run.spec.app_name,
@@ -171,9 +174,9 @@ class ExperimentStore:
                     spec_text,
                     digest,
                 ),
-            )
+            ).rowcount
             self._conn.commit()
-            return True
+            return bool(inserted)
 
     def append_many(
         self,

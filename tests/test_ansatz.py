@@ -34,22 +34,22 @@ def test_efficient_su2_parameter_count():
 def test_real_amplitudes_state_is_real():
     ansatz = RealAmplitudes(3, reps=2)
     theta = ansatz.initial_point(seed=2, scale=0.5)
-    sv = simulate_statevector(ansatz.program, theta)
+    sv = simulate_statevector(ansatz.plan, theta)
     assert np.allclose(sv.imag, 0.0, atol=1e-10)
 
 
 def test_zero_parameters_give_zero_state():
     ansatz = RealAmplitudes(4, reps=3)
-    sv = simulate_statevector(ansatz.program, np.zeros(ansatz.num_parameters))
+    sv = simulate_statevector(ansatz.plan, np.zeros(ansatz.num_parameters))
     assert abs(sv[0]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_bind_matches_program():
     ansatz = EfficientSU2(3, reps=2)
     theta = ansatz.initial_point(seed=7)
-    sv_program = simulate_statevector(ansatz.program, theta)
+    sv_plan = simulate_statevector(ansatz.plan, theta)
     sv_bound = simulate_statevector(ansatz.bind(theta))
-    assert np.allclose(sv_program, sv_bound, atol=1e-12)
+    assert np.allclose(sv_plan, sv_bound, atol=1e-12)
 
 
 def test_bind_shape_check():
@@ -85,7 +85,7 @@ def test_expressivity_reaches_ghz_overlap():
     # entanglement); RA(2, reps=1) can produce a Bell state exactly.
     ansatz = RealAmplitudes(2, reps=1)
     theta = np.array([np.pi / 2, 0.0, 0.0, 0.0])
-    sv = simulate_statevector(ansatz.program, theta)
+    sv = simulate_statevector(ansatz.plan, theta)
     probs = np.abs(sv) ** 2
     assert probs[0] == pytest.approx(0.5, abs=1e-10)
     assert probs[3] == pytest.approx(0.5, abs=1e-10)

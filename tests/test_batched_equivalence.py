@@ -17,9 +17,10 @@ import repro.vqa.objective as objective_module
 from repro.ansatz.efficient_su2 import EfficientSU2
 from repro.ansatz.real_amplitudes import RealAmplitudes
 from repro.backends.ideal import IdealBackend
+from repro.backends.transient import StaticNoiseBackend
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameter import Parameter
-from repro.circuits.program import compile_circuit
+from repro.compiler import compile_plan
 from repro.experiments.registry import get_app
 from repro.experiments.schemes import build_vqe
 from repro.hamiltonians.tfim import tfim_hamiltonian
@@ -75,13 +76,13 @@ def test_batched_simulator_matches_serial_on_random_circuits(num_qubits):
     rng = np.random.default_rng(100 + num_qubits)
     for trial in range(3):
         circuit = random_parameterized_circuit(rng, num_qubits)
-        program = compile_circuit(circuit)
-        thetas = rng.uniform(-np.pi, np.pi, (5, program.num_parameters))
+        plan = compile_plan(circuit, cache=False)
+        thetas = rng.uniform(-np.pi, np.pi, (5, plan.num_parameters))
         serial = StatevectorSimulator(num_qubits)
         batched = BatchedStatevectorSimulator(num_qubits)
-        batch_states = batched.run_flat(program, thetas)
+        batch_states = batched.run_flat(plan, thetas)
         for i, theta in enumerate(thetas):
-            expected = serial.run_program(program, theta).reshape(-1)
+            expected = serial.run_plan(plan, theta).reshape(-1)
             np.testing.assert_allclose(
                 batch_states[i], expected, atol=TOLERANCE, rtol=0.0
             )
@@ -154,10 +155,10 @@ def test_spsa_batched_run_is_bit_identical_to_serial(monkeypatch):
     """The regression oracle: batching must not change *any* result.
 
     The transient backend consumes seed-derived RNG streams; running the
-    same spec with batching disabled (``REPRO_BATCH=0``) must reproduce
-    the batched run bit-for-bit.
+    same spec with batching switched off on the backend classes
+    (``supports_batch = False``) must reproduce the batched run
+    bit-for-bit.
     """
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
     app = get_app("App1")
 
     def run_once():
@@ -177,7 +178,8 @@ def test_spsa_batched_run_is_bit_identical_to_serial(monkeypatch):
         return vqe.run(25, theta0=objective.initial_point(seed=17))
 
     batched = run_once()
-    monkeypatch.setenv("REPRO_BATCH", "0")
+    for backend_class in (IdealBackend, StaticNoiseBackend):
+        monkeypatch.setattr(backend_class, "supports_batch", False)
     serial = run_once()
 
     assert batched.total_jobs == serial.total_jobs

@@ -2,7 +2,7 @@
 
 Property tests over random 2-8 qubit circuits across every simulator
 consuming :class:`~repro.compiler.GatePlan` (statevector, batched,
-density-matrix, sampling), plus ``REPRO_FUSION=0`` parity on the SPSA/VQE
+density-matrix, sampling), plus fused-vs-unfused parity on the SPSA/VQE
 hot path — the acceptance contract of the unified compiler pipeline.
 """
 
@@ -199,11 +199,19 @@ def test_fuse_plan_is_idempotent():
     assert fuse_plan(plan) is plan
 
 
-# -- SPSA/VQE hot-path parity (REPRO_FUSION=0) -----------------------------------
+# -- SPSA/VQE hot-path parity (fusion=False) ------------------------------------
 
 
-def _vqe_energies(num_iterations: int = 8) -> list:
-    objective = EnergyObjective(EfficientSU2(4, reps=2), tfim_hamiltonian(4))
+class _UnfusedSU2(EfficientSU2):
+    """EfficientSU2 executing its unfused plan (one op per source gate)."""
+
+    @property
+    def plan(self):
+        return compile_plan(self.circuit, self.parameters, fusion=False)
+
+
+def _vqe_energies(ansatz, num_iterations: int = 8) -> list:
+    objective = EnergyObjective(ansatz, tfim_hamiltonian(4))
     from repro.backends.ideal import IdealBackend
 
     vqe = VQE(objective, IdealBackend(objective), SPSA(seed=11))
@@ -211,11 +219,11 @@ def _vqe_energies(num_iterations: int = 8) -> list:
     return [record.machine_energy for record in result.records]
 
 
-def test_vqe_hot_path_parity_with_fusion_kill_switch(monkeypatch):
-    fused_energies = _vqe_energies()
-    clear_plan_cache()
-    monkeypatch.setenv("REPRO_FUSION", "0")
-    unfused_energies = _vqe_energies()
+def test_vqe_hot_path_parity_with_fusion_kill_switch():
+    unfused = _UnfusedSU2(4, reps=2)
+    assert not unfused.plan.fused
+    fused_energies = _vqe_energies(EfficientSU2(4, reps=2))
+    unfused_energies = _vqe_energies(unfused)
     assert len(fused_energies) == len(unfused_energies)
     np.testing.assert_allclose(
         fused_energies, unfused_energies, atol=1e-10, rtol=0.0

@@ -2,9 +2,8 @@
 
 Fusion *correctness* (fused vs unfused parity across simulators) lives in
 ``tests/test_compiler_fusion.py``; this module covers the structural
-contracts: lowering equivalence with the legacy ``CompiledProgram`` path,
-the one-affine-map binding, cache keying/LRU behavior, and the
-``REPRO_FUSION`` / ``REPRO_PLAN_CACHE`` knobs.
+contracts: lowering, the one-affine-map binding, cache keying/LRU
+behavior, the ``fusion=`` argument and the ``REPRO_PLAN_CACHE`` knob.
 """
 
 from __future__ import annotations
@@ -16,14 +15,11 @@ from repro.ansatz.efficient_su2 import EfficientSU2
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import random_circuit
 from repro.circuits.parameter import Parameter
-from repro.circuits.program import compile_circuit
 from repro.compiler import (
     PLAN_CACHE,
     GatePlan,
     clear_plan_cache,
     compile_plan,
-    fusion_enabled,
-    lower_program,
     plan_cache_stats,
 )
 from repro.simulator.statevector import StatevectorSimulator
@@ -50,19 +46,6 @@ def _param_circuit() -> QuantumCircuit:
 
 
 # -- lowering --------------------------------------------------------------------
-
-
-def test_lowering_matches_compiled_program_exactly():
-    qc = _param_circuit()
-    program = compile_circuit(qc)
-    plan = lower_program(program)
-    theta = np.array([0.31, -1.7])
-    plan_mats = list(plan.op_matrices(theta))
-    prog_mats = program.op_matrices(theta)
-    assert len(plan_mats) == len(prog_mats)
-    for (q_plan, m_plan), (q_prog, m_prog) in zip(plan_mats, prog_mats):
-        assert q_plan == q_prog
-        np.testing.assert_array_equal(m_plan, m_prog)
 
 
 def test_plan_records_source_gate_counts():
@@ -118,26 +101,23 @@ def test_bind_angles_validates_shape():
         plan.bind_angles_batch(np.zeros((4, 3)))
 
 
-def test_compiled_program_op_matrices_still_validates():
-    program = compile_circuit(_param_circuit())
-    with pytest.raises(ValueError, match="expected 2 parameters"):
-        program.op_matrices(np.zeros(5))
-
-
 def test_vectorized_program_matches_scalar_constructors():
-    # The shim's kind-grouped stacked builders must be bit-identical to
-    # the old per-op scalar path.
+    # The plan's kind-grouped stacked builders must be bit-identical to
+    # a per-op scalar build.
     from repro.circuits.gates import GATES
 
-    qc = _param_circuit()
-    program = compile_circuit(qc)
+    plan = compile_plan(_param_circuit(), fusion=False, cache=False)
     theta = np.array([-0.9, 2.2])
-    for op, (qubits, matrix) in zip(program.ops, program.op_matrices(theta)):
+    for op, (qubits, matrix) in zip(plan.ops, plan.op_matrices(theta)):
         assert qubits == op.qubits
         if op.matrix is not None:
             np.testing.assert_array_equal(matrix, op.matrix)
         else:
-            angle = op.coeff * theta[op.param_index] + op.offset
+            slot = op.slot
+            angle = (
+                plan.coeffs[slot] * theta[plan.param_indices[slot]]
+                + plan.offsets[slot]
+            )
             np.testing.assert_array_equal(
                 matrix, GATES[op.gate_name].matrix((angle,))
             )
@@ -208,26 +188,15 @@ def test_cache_keys_separate_fused_and_unfused():
     assert len(PLAN_CACHE) == 2
 
 
-# -- REPRO_FUSION kill switch ----------------------------------------------------
+# -- the fusion= argument ------------------------------------------------------
 
 
-def test_fusion_env_kill_switch(monkeypatch):
-    monkeypatch.delenv("REPRO_FUSION", raising=False)
-    assert fusion_enabled()
-    for value in ("0", "off", "false", "no"):
-        monkeypatch.setenv("REPRO_FUSION", value)
-        assert not fusion_enabled()
-    monkeypatch.setenv("REPRO_FUSION", "1")
-    assert fusion_enabled()
-
-
-def test_fusion_disabled_produces_unfused_plan(monkeypatch):
+def test_fusion_disabled_produces_unfused_plan():
     qc = random_circuit(3, 20, seed=5)
     fused = compile_plan(qc, cache=False)
-    monkeypatch.setenv("REPRO_FUSION", "0")
-    unfused = compile_plan(qc, cache=False)
-    assert not unfused.fused
-    assert len(unfused.ops) == len(compile_circuit(qc).ops)
+    unfused = compile_plan(qc, fusion=False, cache=False)
+    assert fused.fused and not unfused.fused
+    assert len(unfused.ops) == sum(1 for inst in qc if inst.name != "barrier")
     assert len(fused.ops) < len(unfused.ops)
 
 

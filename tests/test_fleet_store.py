@@ -124,6 +124,25 @@ def test_requeue_running_recovers_crashed_jobs(tmp_path):
         assert record.status == QUEUED and record.device is None
 
 
+def test_failed_transition_rolls_back_and_frees_the_file(tmp_path, monkeypatch):
+    db = tmp_path / "fleet.db"
+    spec = _spec()
+    with JobStore(db) as first, JobStore(db) as second:
+        first.enqueue(spec)
+
+        def journal_fails(*args, **kwargs):
+            raise RuntimeError("journal write failed")
+
+        # The status UPDATE has run when the journal write in the same
+        # transaction fails.
+        monkeypatch.setattr(first.results, "journal_append", journal_fails)
+        with pytest.raises(RuntimeError):
+            first.mark_running(spec.run_id, "toronto", tick=1)
+        assert first.fetch(spec.run_id).status == QUEUED
+        # The other store on the file can still write.
+        assert second.enqueue(_spec(seed=4)).status == QUEUED
+
+
 def test_result_payload_delegated_to_experiment_store():
     """mark_done hands the payload to the embedded ExperimentStore — the
     jobs table keeps lifecycle only, the store owns content."""

@@ -1,11 +1,10 @@
-"""Fixed-seed regression pins for the v2 kernel engines.
+"""Fixed-seed regression pins for the v2 gate kernels.
 
 The golden values below were captured from the noisy counts / energy
 pipeline and are asserted *exactly* for sampled counts (the RNG draw
-sequence is part of the contract) and to 1e-12 for float energies. The
-suite runs the same workload under the default ``pair`` engine and under
-``REPRO_KERNEL=tensordot``: both engines must reproduce the pins, which
-locks the kernel refactor out of silently changing simulation results.
+sequence is part of the contract) and to 1e-12 for float energies,
+which locks kernel and run-loop changes out of silently changing
+simulation results.
 """
 
 import numpy as np
@@ -41,20 +40,14 @@ def _bound_circuit():
     return ansatz.bind(theta)
 
 
-@pytest.fixture(params=["pair", "tensordot"])
-def engine(request, monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", request.param)
-    return request.param
-
-
-def test_dm_counts_bit_identical(engine):
+def test_dm_counts_bit_identical():
     backend = CountsBackend(
         noise_model=NoiseModel(0.004, 0.03), seed=321, engine="dm"
     )
     assert backend.run(_bound_circuit(), shots=2048) == COUNTS_DM
 
 
-def test_trajectory_counts_bit_identical(engine):
+def test_trajectory_counts_bit_identical():
     backend = CountsBackend(
         noise_model=NoiseModel(0.004, 0.03), seed=321,
         engine="traj", trajectories=128,
@@ -62,7 +55,7 @@ def test_trajectory_counts_bit_identical(engine):
     assert backend.run(_bound_circuit(), shots=2048) == COUNTS_TRAJ
 
 
-def test_counts_energy_pinned(engine):
+def test_counts_energy_pinned():
     backend = CountsBackend(
         noise_model=NoiseModel(0.004, 0.03), seed=55, engine="dm"
     )
@@ -72,7 +65,7 @@ def test_counts_energy_pinned(engine):
     assert energy == ENERGY_COUNTS
 
 
-def test_ideal_and_batch_energies_pinned(engine):
+def test_ideal_and_batch_energies_pinned():
     objective = EnergyObjective(EfficientSU2(6, reps=2), tfim_hamiltonian(6))
     theta = np.linspace(-0.9, 1.2, objective.num_parameters)
     assert objective.ideal_energy(theta) == pytest.approx(

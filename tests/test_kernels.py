@@ -1,5 +1,6 @@
 """v2 gate kernels: classification, parity vs. the tensordot reference,
-fusion structures, chunk/thread bit-identity and metrics accounting."""
+fusion structures, plan-level run-loop parity, chunk/thread
+bit-identity and metrics accounting."""
 
 import numpy as np
 import pytest
@@ -19,11 +20,17 @@ from repro.compiler.ir import (
 from repro.obs.metrics import METRICS
 from repro.simulator import kernels
 from repro.simulator.batched import BatchedStatevectorSimulator
+from repro.simulator.density_matrix import DensityMatrixSimulator
 from repro.simulator.kernels.reference import (
     apply_gate_tensordot,
     apply_gates_elementwise_reference,
 )
 from repro.simulator.statevector import StatevectorSimulator
+
+
+#: The dispatcher's small-state floor as shipped; the autouse fixture
+#: below lowers it, the ``production_floor`` fixture restores it.
+PRODUCTION_FLOOR = kernels.PAIR_MIN_STATE_SIZE
 
 
 @pytest.fixture(autouse=True)
@@ -36,6 +43,12 @@ def _exercise_pair_kernels(monkeypatch):
     themselves, so they disable the floor.
     """
     monkeypatch.setattr(kernels, "PAIR_MIN_STATE_SIZE", 0)
+
+
+@pytest.fixture
+def production_floor(monkeypatch):
+    """Keep the shipped floor, so plan runs exercise both of its sides."""
+    monkeypatch.setattr(kernels, "PAIR_MIN_STATE_SIZE", PRODUCTION_FLOOR)
 
 
 def _random_state(n, rng, batch=None):
@@ -103,7 +116,7 @@ def test_apply_gate_matches_reference(n, name, qubits):
     matrix = _TOFFOLI if name == "ccx" else gate_matrix(name, params)
     state = _random_state(n, rng)
     expected = apply_gate_tensordot(state, matrix, qubits)
-    got = kernels.apply_gate(state, matrix, qubits, engine="pair")
+    got = kernels.apply_gate(state, matrix, qubits)
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -116,7 +129,7 @@ def test_apply_gate_dense_random_unitary(k):
                    tuple(range(n - k, n))]:
         state = _random_state(n, rng)
         expected = apply_gate_tensordot(state, matrix, qubits)
-        got = kernels.apply_gate(state, matrix, qubits, engine="pair")
+        got = kernels.apply_gate(state, matrix, qubits)
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -125,9 +138,7 @@ def test_apply_gate_batch_axis_parity():
     states = _random_state(4, rng, batch=3)
     matrix = gate_matrix("cx")
     expected = apply_gate_tensordot(states, matrix, (1, 3), batch_axes=1)
-    got = kernels.apply_gate(
-        states, matrix, (1, 3), batch_axes=1, engine="pair"
-    )
+    got = kernels.apply_gate(states, matrix, (1, 3), batch_axes=1)
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -137,20 +148,9 @@ def test_apply_gate_does_not_mutate_input_by_default():
     before = state.copy()
     for name, qubits in [("rz", (1,)), ("h", (0,)), ("cx", (0, 1))]:
         kernels.apply_gate(
-            state, gate_matrix(name, [0.3] if name == "rz" else []),
-            qubits, engine="pair",
+            state, gate_matrix(name, [0.3] if name == "rz" else []), qubits
         )
         np.testing.assert_array_equal(state, before)
-
-
-def test_apply_gate_tensordot_engine_is_reference():
-    rng = np.random.default_rng(3)
-    state = _random_state(4, rng)
-    matrix = gate_matrix("h")
-    got = kernels.apply_gate(state, matrix, (2,), engine="tensordot")
-    np.testing.assert_array_equal(
-        got, apply_gate_tensordot(state, matrix, (2,))
-    )
 
 
 def test_small_states_route_to_reference(monkeypatch):
@@ -158,7 +158,7 @@ def test_small_states_route_to_reference(monkeypatch):
     rng = np.random.default_rng(7)
     state = _random_state(4, rng)  # 16 elements, far below the floor
     matrix = gate_matrix("h")
-    got = kernels.apply_gate(state, matrix, (1,), engine="pair")
+    got = kernels.apply_gate(state, matrix, (1,))
     np.testing.assert_array_equal(
         got, apply_gate_tensordot(state, matrix, (1,))
     )
@@ -187,9 +187,7 @@ def test_apply_gates_elementwise_matches_reference(n, batch, kind):
         )
     states = _random_state(n, rng, batch=batch)
     expected = apply_gates_elementwise_reference(states, matrices, qubits)
-    got = kernels.apply_gates_elementwise(
-        states, matrices, qubits, engine="pair"
-    )
+    got = kernels.apply_gates_elementwise(states, matrices, qubits)
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -198,9 +196,7 @@ def test_apply_gates_elementwise_reversed_qubits():
     states = _random_state(14, rng, batch=2)
     matrices = np.stack([_random_unitary(4, rng) for _ in range(2)])
     expected = apply_gates_elementwise_reference(states, matrices, (5, 2))
-    got = kernels.apply_gates_elementwise(
-        states, matrices, (5, 2), engine="pair"
-    )
+    got = kernels.apply_gates_elementwise(states, matrices, (5, 2))
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -292,7 +288,12 @@ def test_kron_1q_per_element_stack():
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
-# -------------------------------------------- plan-level engine parity
+# ------------------------------------------------ plan-level parity
+#
+# The run loops against an op-by-op walk of ``plan.op_matrices(theta)``
+# through the tensordot reference, with the shipped small-state floor:
+# each size pair straddles PAIR_MIN_STATE_SIZE (a density matrix on n
+# qubits has 4**n elements).
 
 
 def _plan_and_theta(num_qubits=6, reps=2):
@@ -301,29 +302,49 @@ def _plan_and_theta(num_qubits=6, reps=2):
     return ansatz.plan, theta
 
 
-def test_serial_plan_pair_matches_tensordot(monkeypatch):
-    plan, theta = _plan_and_theta()
-    monkeypatch.setenv("REPRO_KERNEL", "tensordot")
-    expected = StatevectorSimulator(plan.num_qubits).run_plan(plan, theta)
-    monkeypatch.setenv("REPRO_KERNEL", "pair")
-    got = StatevectorSimulator(plan.num_qubits).run_plan(plan, theta)
-    np.testing.assert_allclose(got, expected, atol=1e-12)
+def _reference_state(plan, theta):
+    state = StatevectorSimulator(plan.num_qubits).zero_state()
+    for qubits, matrix in plan.op_matrices(theta):
+        state = apply_gate_tensordot(state, matrix, qubits)
+    return state
 
 
-def test_batched_plan_pair_matches_tensordot(monkeypatch):
-    plan, theta = _plan_and_theta()
-    thetas = np.stack([theta, theta * 0.5, -theta])
-    sim = BatchedStatevectorSimulator(plan.num_qubits)
-    monkeypatch.setenv("REPRO_KERNEL", "tensordot")
-    expected = sim.run_flat(plan, thetas)
-    monkeypatch.setenv("REPRO_KERNEL", "pair")
-    got = sim.run_flat(plan, thetas)
-    np.testing.assert_allclose(got, expected, atol=1e-12)
+def test_serial_plan_pair_matches_tensordot(production_floor):
+    assert 2**6 < PRODUCTION_FLOOR <= 2**13
+    for num_qubits in (6, 13):
+        plan, theta = _plan_and_theta(num_qubits)
+        got = StatevectorSimulator(num_qubits).run_plan(plan, theta)
+        np.testing.assert_allclose(
+            got, _reference_state(plan, theta), atol=1e-12
+        )
+
+
+def test_batched_plan_pair_matches_tensordot(production_floor):
+    for num_qubits in (6, 13):
+        plan, theta = _plan_and_theta(num_qubits)
+        thetas = np.stack([theta, theta * 0.5, -theta])
+        got = BatchedStatevectorSimulator(num_qubits).run_flat(plan, thetas)
+        expected = np.stack(
+            [_reference_state(plan, row).reshape(-1) for row in thetas]
+        )
+        np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+def test_density_matrix_plan_matches_tensordot(production_floor):
+    assert 4**5 < PRODUCTION_FLOOR <= 4**6
+    for num_qubits in (5, 6):
+        plan, theta = _plan_and_theta(num_qubits)
+        sim = DensityMatrixSimulator(num_qubits)
+        rho = sim.zero_state()
+        for qubits, matrix in plan.op_matrices(theta):
+            rho = apply_gate_tensordot(rho, matrix, qubits)
+            bra = tuple(num_qubits + q for q in qubits)
+            rho = apply_gate_tensordot(rho, matrix.conj(), bra)
+        np.testing.assert_allclose(sim.run_plan(plan, theta), rho, atol=1e-12)
 
 
 def test_chunked_and_threaded_runs_are_bit_identical(monkeypatch):
     plan, theta = _plan_and_theta(num_qubits=8)
-    monkeypatch.setenv("REPRO_KERNEL", "pair")
     baseline = StatevectorSimulator(plan.num_qubits).run_plan(plan, theta)
     monkeypatch.setenv("REPRO_KERNEL_CHUNK", "2048")
     monkeypatch.setenv("REPRO_KERNEL_THREADS", "2")
@@ -343,6 +364,6 @@ def test_kernel_metrics_counters_increment():
 
     calls_before = snapshot("kernel.1q-pair.calls")
     bytes_before = snapshot("kernel.1q-pair.bytes")
-    kernels.apply_gate(state, gate_matrix("h"), (1,), engine="pair")
+    kernels.apply_gate(state, gate_matrix("h"), (1,))
     assert snapshot("kernel.1q-pair.calls") == calls_before + 1
     assert snapshot("kernel.1q-pair.bytes") > bytes_before

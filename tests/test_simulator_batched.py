@@ -9,20 +9,16 @@ from repro.ansatz.efficient_su2 import EfficientSU2
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import GATES
 from repro.circuits.parameter import Parameter
-from repro.circuits.program import compile_circuit
+from repro.compiler import compile_plan
+from repro.simulator import kernels
 from repro.simulator.batched import (
     BATCHED_GATE_BUILDERS,
     BatchedStatevectorSimulator,
-    apply_gate_batched,
-    apply_gates_elementwise,
     batched_gate_matrices,
     simulate_statevectors,
 )
-from repro.simulator.statevector import (
-    StatevectorSimulator,
-    apply_gate,
-    simulate_statevector,
-)
+from repro.simulator.kernels import apply_gate_tensordot
+from repro.simulator.statevector import StatevectorSimulator, simulate_statevector
 
 
 def test_zero_states():
@@ -40,9 +36,9 @@ def test_validation():
     simulator = BatchedStatevectorSimulator(2)
     with pytest.raises(ValueError):
         simulator.zero_states(0)
-    program = compile_circuit(QuantumCircuit(3))
+    plan = compile_plan(QuantumCircuit(3))
     with pytest.raises(ValueError):
-        simulator.run_program(program, np.zeros((2, 0)))
+        simulator.run_plan(plan, np.zeros((2, 0)))
 
 
 @pytest.mark.parametrize("gate,qubits", [("h", (0,)), ("cx", (0, 2)), ("cx", (2, 0)), ("swap", (1, 2))])
@@ -52,9 +48,9 @@ def test_apply_gate_batched_matches_serial(gate, qubits):
     states = rng.standard_normal((5,) + (2,) * 3) + 1j * rng.standard_normal(
         (5,) + (2,) * 3
     )
-    batched = apply_gate_batched(states, matrix, qubits)
+    batched = kernels.apply_gate(states, matrix, qubits, batch_axes=1)
     for i in range(5):
-        expected = apply_gate(states[i], matrix, qubits)
+        expected = apply_gate_tensordot(states[i], matrix, qubits)
         np.testing.assert_allclose(batched[i], expected, atol=1e-12, rtol=0.0)
 
 
@@ -81,36 +77,36 @@ def test_apply_gates_elementwise_matches_per_element():
     )
     angles = np.array([0.3, -1.2, 2.5])
     matrices = batched_gate_matrices("rzz", angles)
-    out = apply_gates_elementwise(states, matrices, (1, 3))
+    out = kernels.apply_gates_elementwise(states, matrices, (1, 3))
     for i in range(3):
-        expected = apply_gate(states[i], matrices[i], (1, 3))
+        expected = apply_gate_tensordot(states[i], matrices[i], (1, 3))
         np.testing.assert_allclose(out[i], expected, atol=1e-12, rtol=0.0)
 
 
-def test_run_program_matches_serial_ansatz():
+def test_run_flat_matches_serial_ansatz():
     ansatz = EfficientSU2(5, reps=3)
     rng = np.random.default_rng(13)
     thetas = rng.uniform(-np.pi, np.pi, (6, ansatz.num_parameters))
-    batched = BatchedStatevectorSimulator(5).run_flat(ansatz.program, thetas)
+    batched = BatchedStatevectorSimulator(5).run_flat(ansatz.plan, thetas)
     serial = StatevectorSimulator(5)
     for i, theta in enumerate(thetas):
-        expected = serial.run_program(ansatz.program, theta).reshape(-1)
+        expected = serial.run_plan(ansatz.plan, theta).reshape(-1)
         np.testing.assert_allclose(batched[i], expected, atol=1e-12, rtol=0.0)
 
 
-def test_run_program_initial_states():
+def test_run_plan_initial_states():
     ansatz = EfficientSU2(2, reps=1)
     rng = np.random.default_rng(17)
     thetas = rng.uniform(-1, 1, (2, ansatz.num_parameters))
     initial = np.zeros((2, 4), dtype=complex)
     initial[:, 3] = 1.0
-    batched = BatchedStatevectorSimulator(2).run_program(
-        ansatz.program, thetas, initial_states=initial
+    batched = BatchedStatevectorSimulator(2).run_plan(
+        ansatz.plan, thetas, initial_states=initial
     )
     serial = StatevectorSimulator(2)
     for i, theta in enumerate(thetas):
-        expected = serial.run_program(
-            ansatz.program, theta, initial_state=initial[i]
+        expected = serial.run_plan(
+            ansatz.plan, theta, initial_state=initial[i]
         )
         np.testing.assert_allclose(
             batched[i], expected, atol=1e-12, rtol=0.0

@@ -4,11 +4,8 @@ import pytest
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import gate_matrix
 from repro.circuits.library import random_circuit
-from repro.simulator.statevector import (
-    StatevectorSimulator,
-    apply_gate,
-    simulate_statevector,
-)
+from repro.simulator.kernels import apply_gate
+from repro.simulator.statevector import StatevectorSimulator, simulate_statevector
 
 
 def _dense_unitary(circuit):
