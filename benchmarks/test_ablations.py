@@ -10,7 +10,7 @@ from bench_helpers import print_table, run_once
 from repro.experiments.config import default_iterations
 from repro.experiments.registry import get_app
 from repro.experiments.runner import ComparisonResult, run_comparison
-from repro.runtime import RunSpec, default_executor
+from repro.runtime import RunSpec, executor_for
 
 
 def retry_budget_sweep(seed=43, executor=None):
@@ -28,7 +28,7 @@ def retry_budget_sweep(seed=43, executor=None):
         for budget in budgets
         for scheme in schemes
     ]
-    runs = (executor or default_executor()).run(specs)
+    runs = (executor or executor_for()).run(specs)
     rows = {}
     for index, budget in enumerate(budgets):
         pair = runs[index * len(schemes):(index + 1) * len(schemes)]
@@ -94,7 +94,7 @@ def trust_region_interaction(seed=45, executor=None):
         )
         for _, overrides in variants
     ]
-    runs = (executor or default_executor()).run(specs)
+    runs = (executor or executor_for()).run(specs)
     return {
         label: tail_energy(run.result)
         for (label, _), run in zip(variants, runs)

@@ -23,7 +23,7 @@ from repro.experiments.schemes import build_vqe
 from repro.noise.noise_model import NoiseModel
 from repro.noise.transient.t1_model import T1FluctuationModel, t1_to_error_fraction
 from repro.noise.transient.trace_generator import profile_for_machine
-from repro.runtime import ExperimentPlan, RunSpec, default_executor
+from repro.runtime import ExperimentPlan, RunSpec, executor_for
 from repro.store.query import RunQuery
 from repro.store.store import ExperimentStore, open_store
 from repro.utils.rng import derive_seed
@@ -209,7 +209,7 @@ def fig10_transient_sweep(
                     seed=seed, trace_scale=scale,
                 )
             )
-    runs = (executor or default_executor()).run(specs)
+    runs = (executor or executor_for()).run(specs)
     finals = [tail_energy(run.result) for run in runs]
     return {"fractions": list(fractions), "final_energies": finals}
 
@@ -275,7 +275,7 @@ def fig13_machines(
         for m in MACHINE_ITERATIONS
         for scheme in ("baseline", "qismet")
     ]
-    with _recorded(executor or default_executor(), specs) as (store, query):
+    with _recorded(executor or executor_for(), specs) as (store, query):
         comparisons = store.comparisons(query)
     rows = {
         m: _machine_row(m, its[m], _cell(comparisons, f"machine:{m}"))
@@ -386,17 +386,17 @@ def fig17_main_results(
 
     Declared as one ``ExperimentPlan`` (apps x schemes) and executed in a
     single fan-out, so ``REPRO_EXECUTOR=parallel`` parallelizes the whole
-    grid and ``REPRO_STORE``/``REPRO_CACHE_DIR`` makes repeated builds
-    near-instant. Per-app improvements and the geomean row are read back
-    through the experiment store's query/aggregate API (bit-identical to
-    regrouping the executor results directly).
+    grid and ``REPRO_STORE`` makes repeated builds near-instant. Per-app
+    improvements and the geomean row are read back through the
+    experiment store's query/aggregate API (bit-identical to regrouping
+    the executor results directly).
     """
     iterations = iterations or default_iterations(2000, 400)
     plan = ExperimentPlan(
         apps=tuple(apps), schemes=tuple(schemes),
         iterations=iterations, seeds=(seed,), name="fig17",
     )
-    with _recorded(executor or default_executor(), plan.expand()) as (
+    with _recorded(executor or executor_for(), plan.expand()) as (
         store, query,
     ):
         store.record_plan(plan)
@@ -496,7 +496,7 @@ def fig16_kalman(
         )
         for mv, t in grid
     ]
-    for (mv, t), run in zip(grid, (executor or default_executor()).run(grid_specs)):
+    for (mv, t), run in zip(grid, (executor or executor_for()).run(grid_specs)):
         label = f"kalman(MV={mv},T={t})"
         rows[label] = tail_energy(run.result)
         ratios[label] = min(-1e-3, rows[label]) / base_tail
@@ -604,7 +604,7 @@ def fig19_threshold_sweep(
         trace_scales=(0.5, 2.0),
         name="fig19",
     )
-    outcome = (executor or default_executor()).run_plan(plan)
+    outcome = (executor or executor_for()).run_plan(plan)
     comparisons = outcome.comparisons()
     return {
         label: geomean_improvements(

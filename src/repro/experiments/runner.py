@@ -5,7 +5,7 @@ declarative runtime in :mod:`repro.runtime`: :func:`run_comparison`
 builds a one-app :class:`~repro.runtime.spec.ExperimentPlan` and hands it
 to an executor (serial by default; set ``REPRO_EXECUTOR=parallel`` or
 pass ``executor=`` to fan schemes out across processes, and
-``REPRO_CACHE_DIR`` to reuse previously computed runs). Sweeps larger
+``REPRO_STORE`` to reuse previously computed runs). Sweeps larger
 than one app x one seed should build an ``ExperimentPlan`` directly.
 
 Seeds are derived per scheme (backend shot-noise streams are
@@ -111,9 +111,9 @@ def run_comparison(
 
     This is a compatibility shim over :mod:`repro.runtime`: it expands a
     one-app plan and executes it on ``executor`` (default: environment
-    selected via ``REPRO_EXECUTOR``/``REPRO_CACHE_DIR``).
+    selected via ``REPRO_EXECUTOR``/``REPRO_STORE``).
     """
-    from repro.runtime import ExperimentPlan, default_executor, resolve_app
+    from repro.runtime import ExperimentPlan, executor_for, resolve_app
 
     overrides = dict(scheme_kwargs)
     if theta0 is not None:
@@ -124,7 +124,7 @@ def run_comparison(
         app, schemes, iterations,
         seed=seed, shots=shots, trace_scale=trace_scale, overrides=overrides,
     )
-    outcome = (executor or default_executor()).run_plan(plan)
+    outcome = (executor or executor_for()).run_plan(plan)
     return outcome.comparison(resolve_app(app).name)
 
 

@@ -11,8 +11,9 @@ Layers (bottom-up):
 * :mod:`~repro.fleet.clock` — shared simulated time (ticks, not seconds);
 * :mod:`~repro.fleet.registry` — :class:`DeviceFleet`: live machines with
   advancing calibration snapshots, monitor traces, injected windows;
-* :mod:`~repro.fleet.store` — :class:`JobStore`: persistent SQLite job
-  table keyed by ``RunSpec`` content hash (resubmission dedupes);
+* :mod:`~repro.fleet.store` — :class:`JobStore`: the job table of an
+  experiment store, keyed by ``RunSpec`` content hash (resubmission
+  dedupes);
 * :mod:`~repro.fleet.scheduler` — :class:`TransientAwareScheduler`:
   defer-or-route decisions from per-device transient verdicts;
 * :mod:`~repro.fleet.health` — :class:`DeviceHealth`: quarantine after

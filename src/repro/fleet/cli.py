@@ -18,7 +18,8 @@ Subcommands:
   throughput counters;
 * ``devices`` — the fleet's machines and their transient profiles.
 
-The job store path comes from ``--db`` or ``REPRO_FLEET_DB``.
+The job store path comes from ``--db`` or ``REPRO_FLEET_DB``; the file
+is an experiment store, so ``python -m repro.store --store`` reads it too.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from typing import List, Optional
 
 from repro.fleet.executor import FLEET_DB_ENV, FleetExecutor
@@ -98,24 +98,14 @@ def cmd_submit(args) -> int:
             f"| devices used {snapshot['devices_used']} "
             f"| deferrals {snapshot['total_deferrals']}"
         )
-        export_to = args.export
-        if args.out:
-            # One-release compatibility shim for the pre-store flag; the
-            # export below produces byte-identical files.
-            warnings.warn(
-                "--out is deprecated; use --export (store-backed export)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            export_to = export_to or args.out
-        if export_to:
+        if args.export:
             export_plan_result(
                 executor.results,
                 [run.run_id for run in outcome],
-                export_to,
+                args.export,
                 plan=plan.to_dict(),
             )
-            print(f"plan result saved to {export_to}")
+            print(f"plan result saved to {args.export}")
     return 0
 
 
@@ -339,10 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--export",
         help="export the plan result (store-backed) as PlanResult JSON",
-    )
-    submit.add_argument(
-        "--out",
-        help="deprecated alias of --export (one-release compatibility shim)",
     )
     submit.set_defaults(func=cmd_submit)
 

@@ -74,7 +74,7 @@ class FleetExecutor(BaseExecutor):
 
     @property
     def results(self):
-        """The embedded experiment store holding this fleet's payloads."""
+        """The experiment store holding this fleet's jobs and payloads."""
         return self.service.store.results
 
     def run(self, specs: Sequence[RunSpec]) -> List[RunResult]:

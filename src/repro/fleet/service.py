@@ -37,7 +37,7 @@ from repro.faults.retry import RetryPolicy, call_with_retry
 from repro.fleet.health import DeviceHealth, HealthConfig
 from repro.fleet.registry import DeviceFleet, FleetDevice
 from repro.fleet.scheduler import SchedulerConfig, TransientAwareScheduler
-from repro.fleet.store import DONE, FAILED, RUNNING, JobStore
+from repro.fleet.store import FAILED, RUNNING, JobStore
 from repro.fleet.telemetry import FLEET_WIDE, FleetTelemetry
 from repro.obs import METRICS, TRACER, monotonic
 from repro.runtime.execute import execute_run
@@ -105,6 +105,8 @@ class FleetService:
         self._persisted_span = 0
         #: run_ids that were satisfied straight from the store this session.
         self.store_hits = 0
+        #: run_ids whose latest submission the store served (dedupe hits).
+        self._served: set = set()
         #: the active drain's span; worker threads attach their job spans
         #: under it so the trace reassembles into one tree per drain.
         self._drain_span = None
@@ -116,7 +118,7 @@ class FleetService:
 
         Called at the end of every drain (and on close), so the rollup is
         queryable by ``python -m repro.fleet stats`` even for callers that
-        never close the service explicitly (e.g. ``default_executor()``).
+        never close the service explicitly (e.g. ``executor_for("fleet")``).
         """
         snapshot = self.telemetry.snapshot()
         delta: Dict[str, Dict[str, int]] = {}
@@ -181,8 +183,10 @@ class FleetService:
             )
             if record.is_done:
                 self.store_hits += 1
+                self._served.add(spec.run_id)
                 self.telemetry.record_cache_hit(spec.run_id, tick)
                 continue
+            self._served.discard(spec.run_id)
             with self._wake:
                 if spec.run_id in self._active:  # raced with another submit
                     continue
@@ -495,14 +499,14 @@ class FleetService:
     ) -> List[RunResult]:
         """Submit + drain + collect, preserving input order.
 
-        Results served from the store (dedupe hits) come back with
-        ``from_cache=True`` and zero elapsed time, mirroring
-        :class:`~repro.runtime.executors.CachedExecutor` semantics.
-        Raises :class:`FleetError` if any job failed.
+        Results that :meth:`submit` served from the store (dedupe hits)
+        come back with ``from_cache=True`` and zero elapsed time,
+        mirroring :class:`~repro.runtime.executors.CachedExecutor`
+        semantics; a ``done`` row that self-healed ran again and is not
+        a hit. Raises :class:`FleetError` if any job failed.
         """
         specs = list(specs)
         submitted = {spec.run_id for spec in specs}
-        known_done = set(self.store.run_ids(status=DONE))
         self.submit(specs)
         self.drain(timeout=timeout)
         # Only *this* submission's failures matter — a shared store may
@@ -526,7 +530,7 @@ class FleetService:
                 result = self.store.result(spec.run_id)
                 if result is None:  # pragma: no cover — drain guarantees done
                     raise FleetError(f"job {spec.run_id} has no stored result")
-                if spec.run_id in known_done:
+                if spec.run_id in self._served:
                     result.from_cache = True
                     result.elapsed_s = 0.0
                 cache[spec.run_id] = result

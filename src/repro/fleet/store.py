@@ -1,4 +1,4 @@
-"""Persistent job store (stdlib SQLite) keyed by ``RunSpec`` content hash.
+"""Persistent job table keyed by ``RunSpec`` content hash.
 
 Jobs move through ``queued -> running -> done | failed``; a failed job is
 re-queued on resubmission, a done job is a **dedupe hit** — resubmitting
@@ -6,49 +6,43 @@ the same spec returns the stored result without re-executing anything
 (the spec's seed-determinism guarantees the stored payload is exactly
 what a fresh run would produce).
 
-The job table owns *lifecycle only*: result payloads live in an
-embedded :class:`~repro.store.ExperimentStore` sharing this store's
-SQLite connection (exposed as :attr:`JobStore.results`), so fleet
-results land in the same content-addressed lakehouse every other cache
-uses — queryable, deduped, and exportable with ``python -m repro.store``
-pointed at the fleet db. Databases written before the store existed
-keep working: a legacy inline ``jobs.result`` payload is read as a
-fallback and backfilled into the store on first access. All timestamps
-are fleet-clock ticks, keeping the store's contents reproducible
+The ``jobs`` and ``telemetry`` tables belong to the experiment store's
+versioned schema (:mod:`repro.store.schema`), so a fleet database *is*
+an :class:`~repro.store.ExperimentStore`, opened here as
+:attr:`JobStore.results`. The job table owns lifecycle only: a done
+job's payload is an ordinary store run — queryable, deduped, exportable
+with ``python -m repro.store`` pointed at the fleet db, and served as a
+hit by a ``CachedExecutor`` on the same file. All timestamps are
+fleet-clock ticks, keeping the store's contents reproducible
 run-over-run.
 
-Crash safety: every transition is journaled (WAL-style, via
-:meth:`~repro.store.ExperimentStore.journal_append` into the shared
-database), ``mark_done`` persists the result payload *before* flipping
-the row's status (so a crash between the two leaves a re-runnable
-``running`` row whose re-execution dedupes against the stored payload),
-and ``mark_done``/``mark_failed`` are idempotent so a resumed drain and
-a straggling worker cannot corrupt each other's state. Named fault
-sites (``jobstore.enqueue``, ``jobstore.mark_running``,
-``jobstore.mark_done``, ``jobstore.mark_done.commit``) let the chaos
-suite drive exactly these windows.
-
-One connection serves all worker threads, guarded by a lock
-(``check_same_thread=False``); SQLite serializes writes anyway, and the
-fleet's write rate is one row per job transition. Several stores may
-open the same database file: inserts tolerate a concurrent writer's row,
-and a transition whose statement fails rolls back, so it never leaves
-the file's write lock held for the other connections.
+Crash safety: every transition and its journal event run as one
+:meth:`~repro.store.ExperimentStore.transaction` (one commit; a failed
+statement rolls back, so it never leaves the file's write lock held for
+other connections). ``mark_done`` commits the result payload *before*
+flipping the row's status (so a crash between the two leaves a
+re-runnable ``running`` row whose re-execution dedupes against the
+stored payload), and ``mark_done``/``mark_failed`` are idempotent so a
+resumed drain and a straggling worker cannot corrupt each other's
+state. Several stores may open the same database file: inserts tolerate
+a concurrent writer's row. Named fault sites (``jobstore.enqueue``,
+``jobstore.mark_running``, ``jobstore.mark_done``,
+``jobstore.mark_done.commit``) let the chaos suite drive exactly these
+windows.
 """
 
 from __future__ import annotations
 
 import json
 import sqlite3
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.faults.inject import INJECTOR
 from repro.runtime.results import RunResult
 from repro.runtime.spec import RunSpec
+from repro.store.schema import FLEET_TICKS_KEY
 from repro.store.store import ExperimentStore
 
 #: Job lifecycle states.
@@ -58,47 +52,6 @@ DONE = "done"
 FAILED = "failed"
 
 STATUSES = (QUEUED, RUNNING, DONE, FAILED)
-
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS jobs (
-    run_id      TEXT PRIMARY KEY,
-    spec        TEXT NOT NULL,
-    status      TEXT NOT NULL,
-    device      TEXT,
-    defers      INTEGER NOT NULL DEFAULT 0,
-    attempts    INTEGER NOT NULL DEFAULT 0,
-    error       TEXT,
-    result      TEXT,
-    submitted_tick INTEGER NOT NULL DEFAULT 0,
-    started_tick   INTEGER,
-    finished_tick  INTEGER
-);
-CREATE INDEX IF NOT EXISTS jobs_status ON jobs (status);
-CREATE TABLE IF NOT EXISTS telemetry (
-    device      TEXT PRIMARY KEY,
-    scheduled   INTEGER NOT NULL DEFAULT 0,
-    completed   INTEGER NOT NULL DEFAULT 0,
-    failed      INTEGER NOT NULL DEFAULT 0,
-    deferred    INTEGER NOT NULL DEFAULT 0,
-    cache_hits  INTEGER NOT NULL DEFAULT 0,
-    retries     INTEGER NOT NULL DEFAULT 0,
-    quarantines INTEGER NOT NULL DEFAULT 0
-);
-CREATE TABLE IF NOT EXISTS meta (
-    key   TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-);
-"""
-
-#: Columns added after the original schema shipped; ``CREATE TABLE IF
-#: NOT EXISTS`` cannot retrofit them, so existing databases get an
-#: additive ``ALTER TABLE`` on open.
-_COLUMN_MIGRATIONS = (
-    ("jobs", "attempts", "INTEGER NOT NULL DEFAULT 0"),
-    ("telemetry", "retries", "INTEGER NOT NULL DEFAULT 0"),
-    ("telemetry", "quarantines", "INTEGER NOT NULL DEFAULT 0"),
-)
-
 
 @dataclass
 class JobRecord:
@@ -135,7 +88,7 @@ class JobRecord:
 
 
 class JobStore:
-    """SQLite-backed job table + telemetry rollup.
+    """Job table + telemetry rollup, kept in one experiment store.
 
     ``path=":memory:"`` gives an ephemeral per-service store; a file path
     makes jobs (and their results) survive across processes, which is what
@@ -143,38 +96,13 @@ class JobStore:
     """
 
     def __init__(self, path: Union[str, Path] = ":memory:"):
-        self.path = str(path)
-        if self.path != ":memory:":
-            Path(self.path).parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.RLock()
-        self._conn = sqlite3.connect(self.path, check_same_thread=False)
-        self._conn.row_factory = sqlite3.Row
-        with self._lock:
-            self._conn.executescript(_SCHEMA)
-            self._migrate_columns_locked()
-            self._conn.commit()
-        # Result payloads live in the experiment lakehouse, embedded in
-        # the same database file (shared connection + re-entrant lock).
-        self.results = ExperimentStore(
-            self.path, conn=self._conn, lock=self._lock
-        )
-
-    def _migrate_columns_locked(self) -> None:
-        for table, column, decl in _COLUMN_MIGRATIONS:
-            present = {
-                row["name"]
-                for row in self._conn.execute(f"PRAGMA table_info({table})")
-            }
-            if column not in present:
-                self._conn.execute(
-                    f"ALTER TABLE {table} ADD COLUMN {column} {decl}"
-                )
+        self.results = ExperimentStore(path)
+        self.path = self.results.path
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        with self._lock:
-            self._conn.close()
+        self.results.close()
 
     def __enter__(self) -> "JobStore":
         return self
@@ -183,21 +111,6 @@ class JobStore:
         self.close()
 
     # -- job transitions ----------------------------------------------------
-
-    @contextmanager
-    def _writing(self) -> Iterator[None]:
-        """Hold the lock for one write; roll the transaction back on error.
-
-        A failed statement (lock timeout, constraint) leaves SQLite's
-        implicit transaction open and holding the write lock, which would
-        stall every other connection to the same file until it times out.
-        """
-        with self._lock:
-            try:
-                yield
-            except BaseException:
-                self._conn.rollback()
-                raise
 
     def enqueue(self, spec: RunSpec, tick: int = 0) -> JobRecord:
         """Submit a spec; returns the (possibly pre-existing) record.
@@ -210,63 +123,34 @@ class JobStore:
         * ``queued``/``running`` — returned as-is (attach to in-flight job).
         """
         INJECTOR.fire("jobstore.enqueue", run_id=spec.run_id)
-        with self._writing():
+        with self.results.transaction() as conn:
             # Another store on the same file may insert the row between a
             # read and this write, so the insert itself decides.
-            inserted = self._conn.execute(
+            inserted = conn.execute(
                 "INSERT INTO jobs (run_id, spec, status, submitted_tick)"
                 " VALUES (?, ?, ?, ?) ON CONFLICT(run_id) DO NOTHING",
                 (spec.run_id, json.dumps(spec.to_dict()), QUEUED, tick),
             ).rowcount
             if inserted:
-                self.results.journal_append(
-                    "enqueue", spec.run_id, tick=tick
-                )
-                self._conn.commit()
+                self.results.journal_append("enqueue", spec.run_id, tick=tick)
                 return JobRecord(spec.run_id, spec, QUEUED, submitted_tick=tick)
-            self._conn.commit()
-            existing = self._fetch_locked(spec.run_id)
-            if existing.status == DONE and not self._payload_available_locked(
-                spec.run_id
-            ):
-                self._requeue_locked(
-                    spec.run_id, tick, event="heal", attempts=existing.attempts
-                )
-                return self._fetch_locked(spec.run_id)
-            if existing.status == FAILED:
-                self._requeue_locked(
-                    spec.run_id, tick, event="requeue", attempts=existing.attempts
-                )
-                return self._fetch_locked(spec.run_id)
-            return existing
-
-    def _payload_available_locked(self, run_id: str) -> bool:
-        """Whether a ``done`` job's payload can actually be served.
-
-        Checks the embedded store (which drops hash-mismatched blobs as
-        misses) and falls back to the legacy inline column; a ``done``
-        row failing both is unservable and should self-heal.
-        """
-        if self.results.get(run_id) is not None:
-            return True
-        row = self._conn.execute(
-            "SELECT result FROM jobs WHERE run_id=?", (run_id,)
-        ).fetchone()
-        return row is not None and row["result"] is not None
-
-    def _requeue_locked(
-        self, run_id: str, tick: int, event: str, attempts: int
-    ) -> None:
-        self._conn.execute(
-            "UPDATE jobs SET status=?, error=NULL, device=NULL,"
-            " defers=0, started_tick=NULL, finished_tick=NULL,"
-            " submitted_tick=? WHERE run_id=?",
-            (QUEUED, tick, run_id),
-        )
-        self.results.journal_append(
-            event, run_id, attempt=attempts, tick=tick
-        )
-        self._conn.commit()
+            existing = _fetch(conn, spec.run_id)
+            if existing.status == DONE and self.results.get(spec.run_id) is None:
+                event = "heal"
+            elif existing.status == FAILED:
+                event = "requeue"
+            else:
+                return existing
+            conn.execute(
+                "UPDATE jobs SET status=?, error=NULL, device=NULL,"
+                " defers=0, started_tick=NULL, finished_tick=NULL,"
+                " submitted_tick=? WHERE run_id=?",
+                (QUEUED, tick, spec.run_id),
+            )
+            self.results.journal_append(
+                event, spec.run_id, attempt=existing.attempts, tick=tick
+            )
+            return _fetch(conn, spec.run_id)
 
     def mark_running(self, run_id: str, device: str, tick: int) -> None:
         INJECTOR.fire("jobstore.mark_running", run_id=run_id)
@@ -276,7 +160,9 @@ class JobStore:
             allowed=(QUEUED, RUNNING),
             extra="device=?, started_tick=?",
             params=(device, tick),
-            journal=("running", device, tick),
+            event="running",
+            device=device,
+            tick=tick,
         )
 
     def mark_done(self, run_id: str, result: RunResult, tick: int) -> None:
@@ -290,36 +176,32 @@ class JobStore:
         what makes a resumed drain safe against straggling workers.
         """
         INJECTOR.fire("jobstore.mark_done", run_id=run_id)
-        with self._writing():
-            row = self._conn.execute(
-                "SELECT status, device FROM jobs WHERE run_id=?", (run_id,)
-            ).fetchone()
-            if row is None:
-                raise KeyError(f"unknown job {run_id!r}")
+        with self.results.transaction() as conn:
+            row = _row(conn, run_id, "status, device")
             if row["status"] == DONE:
                 return
             device = row["device"]
             self.results.append(result, device=device, source="fleet")
-            # Crash window the chaos suite drives: payload persisted,
-            # status not yet committed.
+            # The payload commits on its own, ahead of the status: the
+            # crash window the chaos suite drives (payload persisted,
+            # status not yet committed).
+            conn.commit()
             INJECTOR.fire("jobstore.mark_done.commit", run_id=run_id)
             self._transition(
                 run_id,
                 DONE,
                 allowed=(RUNNING, QUEUED, FAILED),
-                extra="result=NULL, error=NULL, finished_tick=?",
+                extra="error=NULL, finished_tick=?",
                 params=(tick,),
-                journal=("done", device, tick),
+                event="done",
+                device=device,
+                tick=tick,
             )
 
     def mark_failed(self, run_id: str, error: str, tick: int) -> None:
         """Flip a job to ``failed`` (idempotent on already-failed rows)."""
-        with self._writing():
-            row = self._conn.execute(
-                "SELECT status, device FROM jobs WHERE run_id=?", (run_id,)
-            ).fetchone()
-            if row is None:
-                raise KeyError(f"unknown job {run_id!r}")
+        with self.results.transaction() as conn:
+            row = _row(conn, run_id, "status, device")
             if row["status"] in (DONE, FAILED):
                 return
             self._transition(
@@ -328,7 +210,10 @@ class JobStore:
                 allowed=(RUNNING, QUEUED),
                 extra="error=?, finished_tick=?",
                 params=(str(error)[:2000], tick),
-                journal=("failed", row["device"], tick, str(error)[:200]),
+                event="failed",
+                device=row["device"],
+                tick=tick,
+                detail=str(error)[:200],
             )
 
     def record_retry(self, run_id: str, detail: str, tick: int) -> int:
@@ -339,19 +224,14 @@ class JobStore:
         dispatch loop and backs off on the fleet clock (the service owns
         the backoff — the store only records the lifecycle).
         """
-        with self._writing():
-            row = self._conn.execute(
-                "SELECT status, attempts, device FROM jobs WHERE run_id=?",
-                (run_id,),
-            ).fetchone()
-            if row is None:
-                raise KeyError(f"unknown job {run_id!r}")
+        with self.results.transaction() as conn:
+            row = _row(conn, run_id, "status, attempts, device")
             if row["status"] not in (RUNNING, QUEUED):
                 raise ValueError(
                     f"job {run_id}: cannot retry from {row['status']}"
                 )
             attempts = row["attempts"] + 1
-            self._conn.execute(
+            conn.execute(
                 "UPDATE jobs SET status=?, attempts=?, device=NULL,"
                 " started_tick=NULL, error=? WHERE run_id=?",
                 (QUEUED, attempts, str(detail)[:2000], run_id),
@@ -364,7 +244,6 @@ class JobStore:
                 detail=str(detail)[:200],
                 tick=tick,
             )
-            self._conn.commit()
             return attempts
 
     def record_defer(self, run_id: str, count: int = 1) -> None:
@@ -376,45 +255,36 @@ class JobStore:
         """
         if count < 1:
             raise ValueError("count must be >= 1")
-        with self._writing():
-            self._conn.execute(
+        with self.results.transaction() as conn:
+            conn.execute(
                 "UPDATE jobs SET defers = defers + ? WHERE run_id=?",
                 (count, run_id),
             )
-            self._conn.commit()
 
     def _transition(
         self, run_id: str, status: str, allowed, extra: str, params,
-        journal=None,
+        event: str, device: Optional[str], tick: int, detail: str = "",
     ) -> None:
-        with self._writing():
-            row = self._conn.execute(
-                "SELECT status FROM jobs WHERE run_id=?", (run_id,)
-            ).fetchone()
-            if row is None:
-                raise KeyError(f"unknown job {run_id!r}")
-            if row["status"] not in allowed:
+        with self.results.transaction() as conn:
+            current = _row(conn, run_id, "status")["status"]
+            if current not in allowed:
                 raise ValueError(
-                    f"job {run_id}: cannot move {row['status']} -> {status}"
+                    f"job {run_id}: cannot move {current} -> {status}"
                 )
-            self._conn.execute(
+            conn.execute(
                 f"UPDATE jobs SET status=?, {extra} WHERE run_id=?",
                 (status, *params, run_id),
             )
-            if journal is not None:
-                event, device, tick = journal[0], journal[1], journal[2]
-                detail = journal[3] if len(journal) > 3 else ""
-                self.results.journal_append(
-                    event, run_id, device=device, detail=detail, tick=tick
-                )
-            self._conn.commit()
+            self.results.journal_append(
+                event, run_id, device=device, detail=detail, tick=tick
+            )
 
     def requeue_running(self) -> int:
         """Crash recovery: put any ``running`` jobs back in the queue."""
-        with self._writing():
+        with self.results.transaction() as conn:
             stranded = [
                 row["run_id"]
-                for row in self._conn.execute(
+                for row in conn.execute(
                     "SELECT run_id FROM jobs WHERE status=?"
                     " ORDER BY run_id",
                     (RUNNING,),
@@ -422,92 +292,53 @@ class JobStore:
             ]
             if not stranded:
                 return 0
-            self._conn.execute(
+            conn.execute(
                 "UPDATE jobs SET status=?, device=NULL, started_tick=NULL"
                 " WHERE status=?",
                 (QUEUED, RUNNING),
             )
             for run_id in stranded:
                 self.results.journal_append("requeue", run_id)
-            self._conn.commit()
             return len(stranded)
 
     # -- queries ------------------------------------------------------------
-
-    def _fetch_locked(self, run_id: str) -> Optional[JobRecord]:
-        row = self._conn.execute(
-            "SELECT * FROM jobs WHERE run_id=?", (run_id,)
-        ).fetchone()
-        return _record_from_row(row) if row is not None else None
+    # (read-only transaction() blocks hold the lock and commit nothing)
 
     def fetch(self, run_id: str) -> Optional[JobRecord]:
-        with self._lock:
-            return self._fetch_locked(run_id)
+        with self.results.transaction() as conn:
+            return _fetch(conn, run_id)
 
     def result(self, run_id: str) -> Optional[RunResult]:
-        """The stored ``RunResult`` of a done job (else ``None``).
+        """The stored ``RunResult`` of a done job (else ``None``)."""
+        record = self.fetch(run_id)
+        if record is None or not record.is_done:
+            return None
+        stored = self.results.get(run_id)
+        if stored is not None:
+            stored.from_cache = False
+        return stored
 
-        Payloads come from the embedded experiment store; a pre-store
-        database's inline ``jobs.result`` JSON is honored as a fallback
-        and backfilled so the next read hits the store.
-        """
-        with self._writing():
-            row = self._conn.execute(
-                "SELECT result, device FROM jobs WHERE run_id=? AND status=?",
-                (run_id, DONE),
-            ).fetchone()
-            if row is None:
-                return None
-            stored = self.results.get(run_id)
-            if stored is not None:
-                stored.from_cache = False
-                return stored
-            if row["result"] is None:
-                return None
-            legacy = RunResult.from_dict(json.loads(row["result"]))
-            self.results.append(legacy, device=row["device"], source="fleet")
-            self._conn.execute(
-                "UPDATE jobs SET result=NULL WHERE run_id=?", (run_id,)
-            )
-            self._conn.commit()
-            return legacy
-
-    def jobs(self, status: Optional[str] = None) -> List[JobRecord]:
+    def _select(self, columns: str, status: Optional[str]) -> List[sqlite3.Row]:
         if status is not None and status not in STATUSES:
             raise ValueError(f"unknown status {status!r}; known: {STATUSES}")
-        with self._lock:
-            if status is None:
-                rows = self._conn.execute(
-                    "SELECT * FROM jobs ORDER BY submitted_tick, run_id"
-                ).fetchall()
-            else:
-                rows = self._conn.execute(
-                    "SELECT * FROM jobs WHERE status=?"
-                    " ORDER BY submitted_tick, run_id",
-                    (status,),
-                ).fetchall()
-        return [_record_from_row(row) for row in rows]
+        where = "" if status is None else " WHERE status=?"
+        with self.results.transaction() as conn:
+            return conn.execute(
+                f"SELECT {columns} FROM jobs{where}"
+                " ORDER BY submitted_tick, run_id",
+                () if status is None else (status,),
+            ).fetchall()
+
+    def jobs(self, status: Optional[str] = None) -> List[JobRecord]:
+        return [_record_from_row(row) for row in self._select("*", status)]
 
     def run_ids(self, status: Optional[str] = None) -> List[str]:
         """Run ids (optionally filtered by status), without spec decoding."""
-        if status is not None and status not in STATUSES:
-            raise ValueError(f"unknown status {status!r}; known: {STATUSES}")
-        with self._lock:
-            if status is None:
-                rows = self._conn.execute(
-                    "SELECT run_id FROM jobs ORDER BY submitted_tick, run_id"
-                ).fetchall()
-            else:
-                rows = self._conn.execute(
-                    "SELECT run_id FROM jobs WHERE status=?"
-                    " ORDER BY submitted_tick, run_id",
-                    (status,),
-                ).fetchall()
-        return [row["run_id"] for row in rows]
+        return [row["run_id"] for row in self._select("run_id", status)]
 
     def counts(self) -> Dict[str, int]:
-        with self._lock:
-            rows = self._conn.execute(
+        with self.results.transaction() as conn:
+            rows = conn.execute(
                 "SELECT status, COUNT(*) AS n FROM jobs GROUP BY status"
             ).fetchall()
         counts = {status: 0 for status in STATUSES}
@@ -519,9 +350,9 @@ class JobStore:
     def accumulate_telemetry(self, snapshot: Dict[str, Any]) -> None:
         """Fold a :meth:`FleetTelemetry.snapshot` into the persistent
         rollup (counters add across service lifetimes)."""
-        with self._writing():
+        with self.results.transaction() as conn:
             for device, counters in snapshot.get("devices", {}).items():
-                self._conn.execute(
+                conn.execute(
                     "INSERT INTO telemetry"
                     " (device, scheduled, completed, failed, deferred,"
                     "  cache_hits, retries, quarantines)"
@@ -545,22 +376,22 @@ class JobStore:
                         counters.get("quarantines", 0),
                     ),
                 )
-            ticks = int(self._meta_locked("ticks", "0"))
-            span = snapshot.get("ticks_elapsed", 0)
-            self._conn.execute(
-                "INSERT INTO meta (key, value) VALUES ('ticks', ?)"
-                " ON CONFLICT(key) DO UPDATE SET value=excluded.value",
-                (str(ticks + int(span)),),
+            # store_meta values are text; SQLite adds them as integers.
+            conn.execute(
+                "INSERT INTO store_meta (key, value) VALUES (?, ?)"
+                " ON CONFLICT(key) DO UPDATE SET value = value + excluded.value",
+                (FLEET_TICKS_KEY, str(int(snapshot.get("ticks_elapsed", 0)))),
             )
-            self._conn.commit()
 
     def telemetry(self) -> Dict[str, Any]:
         """The accumulated per-device rollup (plus total ticks)."""
-        with self._lock:
-            rows = self._conn.execute(
+        with self.results.transaction() as conn:
+            rows = conn.execute(
                 "SELECT * FROM telemetry ORDER BY device"
             ).fetchall()
-            ticks = int(self._meta_locked("ticks", "0"))
+            ticks = conn.execute(
+                "SELECT value FROM store_meta WHERE key=?", (FLEET_TICKS_KEY,)
+            ).fetchone()
         return {
             "devices": {
                 row["device"]: {
@@ -574,14 +405,22 @@ class JobStore:
                 }
                 for row in rows
             },
-            "ticks": ticks,
+            "ticks": int(ticks["value"]) if ticks is not None else 0,
         }
 
-    def _meta_locked(self, key: str, default: str) -> str:
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE key=?", (key,)
-        ).fetchone()
-        return row["value"] if row is not None else default
+
+def _row(conn: sqlite3.Connection, run_id: str, columns: str) -> sqlite3.Row:
+    row = conn.execute(
+        f"SELECT {columns} FROM jobs WHERE run_id=?", (run_id,)
+    ).fetchone()
+    if row is None:
+        raise KeyError(f"unknown job {run_id!r}")
+    return row
+
+
+def _fetch(conn: sqlite3.Connection, run_id: str) -> Optional[JobRecord]:
+    row = conn.execute("SELECT * FROM jobs WHERE run_id=?", (run_id,)).fetchone()
+    return _record_from_row(row) if row is not None else None
 
 
 def _record_from_row(row: sqlite3.Row) -> JobRecord:

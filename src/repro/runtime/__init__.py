@@ -27,7 +27,6 @@ from repro.runtime.executors import (
     Executor,
     ParallelExecutor,
     SerialExecutor,
-    default_executor,
     executor_for,
     run_plan,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "RunResult",
     "RunSpec",
     "SerialExecutor",
-    "default_executor",
     "execute_all",
     "execute_run",
     "executor_for",

@@ -2,14 +2,14 @@
 cache.
 
 Every persistence path in the repo — the executor result cache, the
-fleet job store's payloads, figure-builder inputs, CLI exports — reads
-and writes through :class:`ExperimentStore`. Open one with
+fleet's job table and payloads, figure-builder inputs, CLI exports —
+reads and writes through :class:`ExperimentStore`. Open one with
 :func:`open_store` (honors the ``REPRO_STORE`` environment knob) and
 query it with :class:`RunQuery`; maintain it with
 ``python -m repro.store``.
 """
 
-from repro.store.export import export_plan_result, export_runs
+from repro.store.export import export_plan_result
 from repro.store.query import RunQuery, StoredRun
 from repro.store.schema import SCHEMA_VERSION, SchemaError, payload_hash
 from repro.store.store import (
@@ -29,7 +29,6 @@ __all__ = [
     "SchemaError",
     "StoredRun",
     "export_plan_result",
-    "export_runs",
     "open_store",
     "payload_hash",
     "resolve_store_path",

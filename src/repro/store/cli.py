@@ -7,7 +7,6 @@ Subcommands::
     aggregate       per-scheme geomean improvements over matching runs
     materialize     incrementally refresh a materialized aggregate view
     compact         drop unreferenced blobs and reclaim file space
-    import-legacy   ingest a legacy cache dir / result file / fleet db
 
 The store path comes from ``--store`` or the ``REPRO_STORE`` environment
 knob; every subcommand supports ``--json`` for machine-readable output.
@@ -61,7 +60,7 @@ def _add_filters(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", action="append", type=int, help="filter by seed")
     parser.add_argument("--device", action="append", help="filter by device")
     parser.add_argument(
-        "--source", action="append", help="filter by source (executor/fleet/import)"
+        "--source", action="append", help="filter by source (executor/fleet)"
     )
     parser.add_argument("--limit", type=int, default=None, help="max rows")
 
@@ -138,13 +137,6 @@ def cmd_compact(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_import_legacy(args: argparse.Namespace) -> int:
-    with _open(args) as store:
-        summary = store.import_legacy(args.source)
-    _emit(summary, args.json)
-    return 1 if summary["errors"] and args.strict else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.store",
@@ -192,15 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "compact", help="drop unreferenced blobs, reclaim space"
     ).set_defaults(func=cmd_compact)
-
-    imp = sub.add_parser(
-        "import-legacy", help="ingest a legacy cache dir / result file / fleet db"
-    )
-    imp.add_argument("source", help="cache directory, JSON file, or fleet .db")
-    imp.add_argument(
-        "--strict", action="store_true", help="exit nonzero on decode errors"
-    )
-    imp.set_defaults(func=cmd_import_legacy)
     return parser
 
 

@@ -2,8 +2,9 @@
 
 The experiment store's on-disk layout is versioned through a
 ``store_meta`` row (``schema_version``). Opening a store at an older
-version applies every forward migration in order inside one transaction
-per step; opening a *newer* store fails loudly rather than corrupting it.
+version applies every forward migration in order inside one transaction;
+opening a *newer* store fails loudly rather than corrupting it, and so
+does creating a store in a file whose tables were not made by it.
 
 Version history:
 
@@ -19,12 +20,18 @@ Version history:
 * **v3** — adds the ``traces`` table: ``repro.obs``
   trace/metric summaries persisted next to the results they profile,
   payloads content-addressed through the same ``blobs`` table.
-* **v4** (current) — adds the ``journal`` table: a WAL-style,
-  append-only record of job-lifecycle events (enqueue/running/retry/
-  done/failed/…) written by the fleet's ``JobStore`` inside the same
-  transactions as the transitions they describe. The journal is what
-  lets ``python -m repro.fleet drain --resume`` reconstruct and finish
-  a killed sweep.
+* **v4** — adds the ``journal`` table: a WAL-style, append-only record
+  of job-lifecycle events (enqueue/running/retry/done/failed/…) written
+  by the fleet's ``JobStore`` inside the same transactions as the
+  transitions they describe. The journal is what lets
+  ``python -m repro.fleet drain --resume`` reconstruct and finish a
+  killed sweep.
+* **v5** (current) — the fleet's ``jobs`` table (lifecycle only: the
+  payload lives in ``runs``/``blobs``) and its per-device ``telemetry``
+  rollup join the schema, so a fleet database *is* an experiment store.
+  The fleet clock total moves from the fleet's own ``meta`` table into
+  ``store_meta`` (:data:`FLEET_TICKS_KEY`); ``meta`` and the pre-store
+  inline ``jobs.result`` column are dropped.
 
 Migrations move payload text **verbatim** — a v1 store migrated to v2
 serves bit-identical payloads (asserted in
@@ -34,11 +41,12 @@ serves bit-identical payloads (asserted in
 from __future__ import annotations
 
 import hashlib
+import re
 import sqlite3
 from typing import Callable, Dict
 
 #: Current on-disk schema version.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: The v1 layout, kept for migration tests and ``create_v1_store``.
 V1_SCHEMA = """
@@ -138,8 +146,54 @@ CREATE TABLE IF NOT EXISTS journal (
 CREATE INDEX IF NOT EXISTS journal_run ON journal (run_id, seq);
 """
 
-#: The current (v4) layout.
+#: The v4 layout (kept: the v4->v5 step builds on top).
 V4_SCHEMA = V3_SCHEMA + JOURNAL_SCHEMA
+
+#: v5 additions: the fleet's job lifecycle table (the payload of a done
+#: job lives in ``runs``/``blobs``) and its per-device telemetry rollup.
+FLEET_SCHEMA = """
+CREATE TABLE IF NOT EXISTS jobs (
+    run_id      TEXT PRIMARY KEY,
+    spec        TEXT NOT NULL,
+    status      TEXT NOT NULL,
+    device      TEXT,
+    defers      INTEGER NOT NULL DEFAULT 0,
+    attempts    INTEGER NOT NULL DEFAULT 0,
+    error       TEXT,
+    submitted_tick INTEGER NOT NULL DEFAULT 0,
+    started_tick   INTEGER,
+    finished_tick  INTEGER
+);
+CREATE INDEX IF NOT EXISTS jobs_status ON jobs (status);
+CREATE TABLE IF NOT EXISTS telemetry (
+    device      TEXT PRIMARY KEY,
+    scheduled   INTEGER NOT NULL DEFAULT 0,
+    completed   INTEGER NOT NULL DEFAULT 0,
+    failed      INTEGER NOT NULL DEFAULT 0,
+    deferred    INTEGER NOT NULL DEFAULT 0,
+    cache_hits  INTEGER NOT NULL DEFAULT 0,
+    retries     INTEGER NOT NULL DEFAULT 0,
+    quarantines INTEGER NOT NULL DEFAULT 0
+);
+"""
+
+#: The current (v5) layout.
+V5_SCHEMA = V4_SCHEMA + FLEET_SCHEMA
+
+#: Every table the current layout creates.
+_STORE_TABLES = tuple(re.findall(r"CREATE TABLE IF NOT EXISTS (\w+)", V5_SCHEMA))
+
+#: ``store_meta`` key of the fleet clock total (ticks, summed across
+#: service lifetimes).
+FLEET_TICKS_KEY = "fleet_ticks"
+
+#: Counters older fleet databases lack (the fleet added them on open
+#: before its tables joined the schema).
+_FLEET_COLUMNS = (
+    ("jobs", "attempts"),
+    ("telemetry", "retries"),
+    ("telemetry", "quarantines"),
+)
 
 
 class SchemaError(RuntimeError):
@@ -151,12 +205,28 @@ def payload_hash(payload: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _run_script(conn: sqlite3.Connection, script: str) -> None:
+    """Execute DDL statement by statement, inside the open transaction
+    (``executescript`` would commit it first)."""
+    for statement in script.split(";"):
+        if statement.strip():
+            conn.execute(statement)
+
+
+def _tables(conn: sqlite3.Connection) -> set:
+    return {
+        row[0]
+        for row in conn.execute("SELECT name FROM sqlite_master WHERE type='table'")
+    }
+
+
+def _columns(conn: sqlite3.Connection, table: str) -> set:
+    return {row[1] for row in conn.execute(f"PRAGMA table_info({table})")}
+
+
 def _get_version(conn: sqlite3.Connection) -> int:
     """Schema version of an open database (0 = no store tables yet)."""
-    row = conn.execute(
-        "SELECT name FROM sqlite_master WHERE type='table' AND name='store_meta'"
-    ).fetchone()
-    if row is None:
+    if "store_meta" not in _tables(conn):
         # A bare `runs` table without store_meta is not ours to touch.
         return 0
     value = conn.execute(
@@ -181,7 +251,7 @@ def _migrate_v1_to_v2(conn: sqlite3.Connection) -> None:
     sequence (the matview watermark basis).
     """
     conn.execute("ALTER TABLE runs RENAME TO runs_v1")
-    conn.executescript(V2_SCHEMA)
+    _run_script(conn, V2_SCHEMA)
     rows = conn.execute("SELECT * FROM runs_v1 ORDER BY rowid").fetchall()
     for row in rows:
         digest = payload_hash(row["payload"])
@@ -206,12 +276,40 @@ def _migrate_v1_to_v2(conn: sqlite3.Connection) -> None:
 
 def _migrate_v2_to_v3(conn: sqlite3.Connection) -> None:
     """Additive: the ``traces`` table only — run rows do not move."""
-    conn.executescript(TRACES_SCHEMA)
+    _run_script(conn, TRACES_SCHEMA)
 
 
 def _migrate_v3_to_v4(conn: sqlite3.Connection) -> None:
     """Additive: the ``journal`` table only — run rows do not move."""
-    conn.executescript(JOURNAL_SCHEMA)
+    _run_script(conn, JOURNAL_SCHEMA)
+
+
+def _migrate_v4_to_v5(conn: sqlite3.Connection) -> None:
+    """The fleet tables join the schema — run rows do not move.
+
+    Creates ``jobs``/``telemetry`` when absent, adds the counters older
+    fleet databases lack, moves the fleet clock total from ``meta`` into
+    ``store_meta`` and drops ``meta`` and the pre-store ``jobs.result``
+    column. Every part checks before it acts, so the step is safe to
+    run twice.
+    """
+    _run_script(conn, FLEET_SCHEMA)
+    for table, column in _FLEET_COLUMNS:
+        if column not in _columns(conn, table):
+            conn.execute(
+                f"ALTER TABLE {table} ADD COLUMN {column}"
+                " INTEGER NOT NULL DEFAULT 0"
+            )
+    if "result" in _columns(conn, "jobs"):
+        conn.execute("ALTER TABLE jobs DROP COLUMN result")
+    if "meta" in _tables(conn):
+        conn.execute(
+            "INSERT INTO store_meta (key, value)"
+            " SELECT ?, value FROM meta WHERE key = 'ticks'"
+            " ON CONFLICT(key) DO UPDATE SET value=excluded.value",
+            (FLEET_TICKS_KEY,),
+        )
+        conn.execute("DROP TABLE meta")
 
 
 #: Forward migrations: from-version -> migration function.
@@ -219,33 +317,51 @@ MIGRATIONS: Dict[int, Callable[[sqlite3.Connection], None]] = {
     1: _migrate_v1_to_v2,
     2: _migrate_v2_to_v3,
     3: _migrate_v3_to_v4,
+    4: _migrate_v4_to_v5,
 }
 
 
 def ensure_schema(conn: sqlite3.Connection) -> int:
     """Create (or migrate) the store tables; returns the migrated-from
-    version (``SCHEMA_VERSION`` when nothing had to move)."""
-    version = _get_version(conn)
-    if version == 0:
-        conn.executescript(V4_SCHEMA)
+    version (``SCHEMA_VERSION`` when nothing had to move).
+
+    Creation and migration run in one ``BEGIN EXCLUSIVE`` transaction:
+    two connections opening a new file cannot both create it, readers on
+    other connections wait for the finished layout instead of seeing a
+    half-made one, and a failed step leaves the file as it was. A version-0 file that already
+    holds a table the store would create (a pre-store fleet database, a
+    foreign ``runs`` table) raises :class:`SchemaError` untouched.
+    """
+    if _get_version(conn) == SCHEMA_VERSION:
+        return SCHEMA_VERSION
+    conn.execute("BEGIN EXCLUSIVE")
+    try:
+        version = _get_version(conn)
+        if version > SCHEMA_VERSION:
+            raise SchemaError(
+                f"store schema v{version} is newer than this code "
+                f"(supports up to v{SCHEMA_VERSION})"
+            )
+        if version == 0:
+            clash = sorted(_tables(conn).intersection(_STORE_TABLES))
+            if clash:
+                raise SchemaError(
+                    f"file holds table(s) {', '.join(clash)} but no store "
+                    "schema version; refusing to adopt it"
+                )
+            _run_script(conn, V5_SCHEMA)
+        else:
+            for step in range(version, SCHEMA_VERSION):
+                migrate = MIGRATIONS.get(step)
+                if migrate is None:
+                    raise SchemaError(f"no migration from store schema v{step}")
+                migrate(conn)
         _set_version(conn, SCHEMA_VERSION)
         conn.commit()
-        return SCHEMA_VERSION
-    if version > SCHEMA_VERSION:
-        raise SchemaError(
-            f"store schema v{version} is newer than this code "
-            f"(supports up to v{SCHEMA_VERSION})"
-        )
-    original = version
-    while version < SCHEMA_VERSION:
-        migrate = MIGRATIONS.get(version)
-        if migrate is None:
-            raise SchemaError(f"no migration from store schema v{version}")
-        migrate(conn)
-        version += 1
-        _set_version(conn, version)
-        conn.commit()
-    return original
+    except BaseException:
+        conn.rollback()
+        raise
+    return version or SCHEMA_VERSION
 
 
 def create_v1_store(conn: sqlite3.Connection) -> None:

@@ -4,8 +4,7 @@
 Run metadata (app, scheme, seed, device, timestamps, ...) lives in
 indexed columns; the result payload is canonical JSON content-addressed
 into a shared ``blobs`` table, so identical results — a fleet re-run, a
-legacy-cache import, a duplicate submit — are stored once and dedupe on
-``run_id``.
+duplicate submit — are stored once and dedupe on ``run_id``.
 
 Reads go through the typed query API (:meth:`query_runs`,
 :meth:`comparisons`, :meth:`aggregate`); Fig. 17-style geomean
@@ -15,10 +14,10 @@ aggregates can additionally be *materialized* incrementally
 materialize only recomputes cells that received runs newer than the
 watermark.
 
-The store can share a connection with an embedding database (the fleet
-``JobStore`` keeps job lifecycle and result payloads in one file) by
-passing ``conn``/``lock``; it then never closes the connection it was
-given.
+One connection serves every thread, guarded by a re-entrant lock, and
+every write goes through :meth:`transaction`. The fleet's ``JobStore``
+keeps its job table in the same file and runs each job transition, with
+its journal event, as one such transaction.
 """
 
 from __future__ import annotations
@@ -27,9 +26,10 @@ import json
 import os
 import sqlite3
 import threading
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.faults.inject import INJECTOR
 from repro.obs import METRICS, TRACER
@@ -56,15 +56,15 @@ _RUN_COLUMNS = (
 def resolve_store_path(path: Union[str, Path]) -> str:
     """Normalize a store reference to a concrete SQLite path.
 
-    ``:memory:`` passes through; a path with a ``.sqlite``/``.sqlite3``/
-    ``.db`` suffix is the database file itself; anything else is treated
-    as a directory holding ``store.sqlite`` (so ``REPRO_STORE`` and
-    ``REPRO_CACHE_DIR`` can both point at a results directory).
+    ``:memory:`` passes through; an existing file, or a path with a
+    ``.sqlite``/``.sqlite3``/``.db`` suffix, is the database file itself;
+    anything else is treated as a directory holding ``store.sqlite`` (so
+    ``REPRO_STORE`` can point at a results directory).
     """
     if str(path) == ":memory:":
         return ":memory:"
     path = Path(path)
-    if path.suffix in (".sqlite", ".sqlite3", ".db"):
+    if path.suffix in (".sqlite", ".sqlite3", ".db") or path.is_file():
         return str(path)
     return str(path / "store.sqlite")
 
@@ -72,33 +72,24 @@ def resolve_store_path(path: Union[str, Path]) -> str:
 class ExperimentStore:
     """Append-only, content-addressed run store with a typed query API."""
 
-    def __init__(
-        self,
-        path: Union[str, Path] = ":memory:",
-        *,
-        conn: Optional[sqlite3.Connection] = None,
-        lock: Optional[threading.RLock] = None,
-    ) -> None:
-        if conn is not None:
-            self.path = path if isinstance(path, str) else str(path)
-            self._conn = conn
-            self._owns_conn = False
-        else:
-            self.path = resolve_store_path(path)
-            if self.path != ":memory:":
-                Path(self.path).parent.mkdir(parents=True, exist_ok=True)
-            self._conn = sqlite3.connect(self.path, check_same_thread=False)
-            self._owns_conn = True
+    def __init__(self, path: Union[str, Path] = ":memory:") -> None:
+        self.path = resolve_store_path(path)
+        if self.path != ":memory:":
+            Path(self.path).parent.mkdir(parents=True, exist_ok=True)
+        self._conn = sqlite3.connect(self.path, check_same_thread=False)
         self._conn.row_factory = sqlite3.Row
-        self._lock = lock if lock is not None else threading.RLock()
-        with self._lock:
+        self._lock = threading.RLock()
+        self._depth = 0  # open transaction() blocks (owner thread only)
+        try:
             self.migrated_from = ensure_schema(self._conn)
+        except BaseException:
+            self._conn.close()
+            raise
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        if self._owns_conn:
-            self._conn.close()
+        self._conn.close()
 
     def __enter__(self) -> "ExperimentStore":
         return self
@@ -107,6 +98,29 @@ class ExperimentStore:
         self.close()
 
     # -- writes --------------------------------------------------------------
+
+    @contextmanager
+    def transaction(self) -> Iterator[sqlite3.Connection]:
+        """The connection, under the store's lock, as one write transaction.
+
+        The outermost block commits once when it exits and rolls back if
+        it raises, so a failed write is never left pending for the next
+        commit, nor holds the file's write lock against other
+        connections. Nested blocks (a job transition's journal event)
+        join the open transaction.
+        """
+        with self._lock:
+            self._depth += 1
+            try:
+                yield self._conn
+                if self._depth == 1:
+                    self._conn.commit()
+            except BaseException:
+                if self._depth == 1:
+                    self._conn.rollback()
+                raise
+            finally:
+                self._depth -= 1
 
     def append(
         self,
@@ -134,8 +148,8 @@ class ExperimentStore:
         METRICS.counter("store.appends").inc()
         with TRACER.span(
             "store.append", category="store", run_id=run.run_id
-        ), self._lock:
-            row = self._conn.execute(
+        ), self.transaction() as conn:
+            row = conn.execute(
                 "SELECT seq, payload_hash FROM runs WHERE run_id = ?",
                 (run.run_id,),
             ).fetchone()
@@ -143,16 +157,15 @@ class ExperimentStore:
                 if self._payload_ok(row["payload_hash"]):
                     return False
                 self._put_blob(digest, payload)
-                self._conn.execute(
+                conn.execute(
                     "UPDATE runs SET payload_hash = ? WHERE run_id = ?",
                     (digest, run.run_id),
                 )
-                self._conn.commit()
                 return True
             self._put_blob(digest, payload)
             # A writer on another connection to the same file may have
             # stored this run since the read above: theirs stands.
-            inserted = self._conn.execute(
+            inserted = conn.execute(
                 "INSERT INTO runs (run_id, app, scheme, seed, shots,"
                 " trace_scale, iterations, device, source, ground_truth,"
                 " elapsed_s, created_at, spec, payload_hash)"
@@ -175,7 +188,6 @@ class ExperimentStore:
                     digest,
                 ),
             ).rowcount
-            self._conn.commit()
             return bool(inserted)
 
     def append_many(
@@ -192,13 +204,12 @@ class ExperimentStore:
 
     def record_plan(self, plan: Any) -> None:
         """Remember an executed plan's sweep definition (by ``plan_id``)."""
-        with self._lock:
-            self._conn.execute(
+        with self.transaction() as conn:
+            conn.execute(
                 "INSERT INTO store_meta (key, value) VALUES (?, ?)"
                 " ON CONFLICT(key) DO UPDATE SET value=excluded.value",
                 (f"plan:{plan.plan_id}", canonical_json(plan.to_dict())),
             )
-            self._conn.commit()
 
     def append_trace(self, summary: Dict[str, Any], label: str = "") -> int:
         """Persist one ``repro.obs`` trace/metric summary; returns its id.
@@ -211,9 +222,11 @@ class ExperimentStore:
         """
         payload = canonical_json(summary)
         digest = payload_hash(payload)
-        with TRACER.span("store.append_trace", category="store"), self._lock:
+        with TRACER.span(
+            "store.append_trace", category="store"
+        ), self.transaction() as conn:
             self._put_blob(digest, payload)
-            cursor = self._conn.execute(
+            cursor = conn.execute(
                 "INSERT INTO traces (label, created_at, payload_hash)"
                 " VALUES (?, ?, ?)",
                 (
@@ -222,7 +235,6 @@ class ExperimentStore:
                     digest,
                 ),
             )
-            self._conn.commit()
         METRICS.counter("store.trace_appends").inc()
         return int(cursor.lastrowid)
 
@@ -275,13 +287,12 @@ class ExperimentStore:
         that died mid-drain. The fleet's ``JobStore`` writes an event in
         the same transaction as every job transition.
         """
-        with self._lock:
-            cursor = self._conn.execute(
+        with self.transaction() as conn:
+            cursor = conn.execute(
                 "INSERT INTO journal (tick, event, run_id, device, attempt,"
                 " detail) VALUES (?, ?, ?, ?, ?, ?)",
                 (int(tick), event, run_id, device, int(attempt), detail),
             )
-            self._conn.commit()
         METRICS.counter("store.journal_appends").inc()
         return int(cursor.lastrowid)
 
@@ -501,15 +512,16 @@ class ExperimentStore:
         are recomputed; ``full=True`` (or a baseline change) rebuilds
         every cell. Cells missing the baseline scheme are skipped — the
         baseline's later arrival bumps the watermark past the whole cell
-        and re-triggers it.
+        and re-triggers it. A run that fails to decode aborts the whole
+        refresh: the view and its watermark stay as they were.
         """
         from repro.experiments.runner import ComparisonResult
 
         METRICS.counter("store.materializations").inc()
         with TRACER.span(
             "store.materialize", category="store", view=view
-        ), self._lock:
-            mark = self._conn.execute(
+        ), self.transaction() as conn:
+            mark = conn.execute(
                 "SELECT watermark, baseline FROM matview_watermarks"
                 " WHERE view = ?",
                 (view,),
@@ -518,9 +530,7 @@ class ExperimentStore:
             if mark is not None and not full and mark["baseline"] == baseline:
                 watermark = mark["watermark"]
             else:
-                self._conn.execute(
-                    "DELETE FROM matviews WHERE view = ?", (view,)
-                )
+                conn.execute("DELETE FROM matviews WHERE view = ?", (view,))
             all_runs = self.query_runs()
             max_seq = max((s.seq for s in all_runs), default=watermark)
             cells: Dict[str, List[StoredRun]] = {}
@@ -534,7 +544,7 @@ class ExperimentStore:
             updated = 0
             for cell in affected:
                 members = cells[cell]
-                self._conn.execute(
+                conn.execute(
                     "DELETE FROM matviews WHERE view = ? AND cell = ?",
                     (view, cell),
                 )
@@ -552,21 +562,20 @@ class ExperimentStore:
                 ratios = comp.improvements(baseline)
                 order = min(s.seq for s in members)
                 for scheme, ratio in ratios.items():
-                    self._conn.execute(
+                    conn.execute(
                         "INSERT INTO matviews"
                         " (view, cell, scheme, ratio, cell_order)"
                         " VALUES (?, ?, ?, ?, ?)",
                         (view, cell, scheme, float(ratio), order),
                     )
                 updated += 1
-            self._conn.execute(
+            conn.execute(
                 "INSERT INTO matview_watermarks (view, watermark, baseline)"
                 " VALUES (?, ?, ?)"
                 " ON CONFLICT(view) DO UPDATE SET"
                 " watermark=excluded.watermark, baseline=excluded.baseline",
                 (view, max_seq, baseline),
             )
-            self._conn.commit()
         return {
             "view": view,
             "baseline": baseline,
@@ -612,97 +621,37 @@ class ExperimentStore:
         matching = [s.run_id for s in self.query_runs(query)]
         if not matching:
             return 0
-        with self._lock:
+        with self.transaction() as conn:
             placeholders = ",".join("?" for _ in matching)
-            self._conn.execute(
+            conn.execute(
                 f"DELETE FROM runs WHERE run_id IN ({placeholders})", matching
             )
-            self._conn.execute("DELETE FROM matviews")
-            self._conn.execute("DELETE FROM matview_watermarks")
-            self._conn.commit()
+            conn.execute("DELETE FROM matviews")
+            conn.execute("DELETE FROM matview_watermarks")
         return len(matching)
 
     def compact(self) -> Dict[str, int]:
         """Drop blobs no run references any more and reclaim file space."""
-        with self._lock:
-            before = self._conn.execute(
+        with self.transaction() as conn:
+            before = conn.execute(
                 "SELECT COUNT(*), COALESCE(SUM(size), 0) FROM blobs"
             ).fetchone()
-            self._conn.execute(
+            conn.execute(
                 "DELETE FROM blobs WHERE hash NOT IN"
                 " (SELECT DISTINCT payload_hash FROM runs)"
                 " AND hash NOT IN"
                 " (SELECT DISTINCT payload_hash FROM traces)"
             )
-            after = self._conn.execute(
+            after = conn.execute(
                 "SELECT COUNT(*), COALESCE(SUM(size), 0) FROM blobs"
             ).fetchone()
-            self._conn.commit()
-            if self._owns_conn and self.path != ":memory:":
+        if self.path != ":memory:":
+            with self._lock:
                 self._conn.execute("VACUUM")
         return {
             "blobs_removed": int(before[0] - after[0]),
             "bytes_reclaimed": int(before[1] - after[1]),
         }
-
-    # -- legacy ingestion ----------------------------------------------------
-
-    def import_legacy(self, source: Union[str, Path]) -> Dict[str, int]:
-        """Ingest results from the pre-store formats, deduping on run_id.
-
-        Accepts a ``CachedExecutor`` cache directory of per-run JSON
-        files, a saved ``PlanResult``/``RunResult`` JSON file, or a fleet
-        ``JobStore`` database whose legacy ``jobs.result`` column still
-        carries inline payloads.
-        """
-        source = Path(source)
-        ingested = skipped = errors = 0
-
-        def take(data: Any, **kwargs: Any) -> None:
-            nonlocal ingested, skipped, errors
-            try:
-                run = RunResult.from_dict(data)
-            except (KeyError, TypeError, ValueError):
-                errors += 1
-                return
-            if self.append(run, **kwargs):
-                ingested += 1
-            else:
-                skipped += 1
-
-        if source.is_dir():
-            for path in sorted(source.glob("*.json")):
-                try:
-                    data = json.loads(path.read_text(encoding="utf-8"))
-                except (OSError, ValueError):
-                    errors += 1
-                    continue
-                take(data, source="import")
-        elif source.suffix in (".db", ".sqlite", ".sqlite3"):
-            legacy = sqlite3.connect(str(source))
-            legacy.row_factory = sqlite3.Row
-            try:
-                rows = legacy.execute(
-                    "SELECT run_id, device, result FROM jobs"
-                    " WHERE status = 'done' AND result IS NOT NULL"
-                ).fetchall()
-            finally:
-                legacy.close()
-            for row in rows:
-                try:
-                    data = json.loads(row["result"])
-                except (TypeError, ValueError):
-                    errors += 1
-                    continue
-                take(data, device=row["device"], source="import")
-        else:
-            data = json.loads(source.read_text(encoding="utf-8"))
-            if isinstance(data, dict) and "runs" in data:
-                for entry in data["runs"]:
-                    take(entry, source="import")
-            else:
-                take(data, source="import")
-        return {"ingested": ingested, "skipped": skipped, "errors": errors}
 
     # -- introspection -------------------------------------------------------
 

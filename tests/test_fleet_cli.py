@@ -77,15 +77,6 @@ def test_submit_exports_plan_result(db, tmp_path, capsys):
     assert payload["plan"]["apps"] == ["App1"]
 
 
-def test_submit_out_flag_warns_but_still_exports(db, tmp_path, capsys):
-    out_path = tmp_path / "result.json"
-    with pytest.warns(DeprecationWarning, match="--out is deprecated"):
-        assert _submit(db, "--out", str(out_path)) == 0
-    capsys.readouterr()
-    payload = json.loads(out_path.read_text())
-    assert len(payload["runs"]) == 2
-
-
 def test_stats_reports_stored_results(db, capsys):
     assert _submit(db) == 0
     capsys.readouterr()

@@ -27,7 +27,7 @@ from typing import Dict
 import pytest
 
 from repro.faults import INJECTOR, FaultPlan, RetryPolicy
-from repro.fleet import DeviceHealth, FleetService, HealthConfig
+from repro.fleet import DeviceHealth, FleetExecutor, FleetService, HealthConfig
 from repro.fleet.store import DONE, FAILED, QUEUED, RUNNING
 from repro.runtime import RunSpec
 from repro.runtime.execute import execute_run
@@ -341,8 +341,12 @@ def test_corrupt_payload_self_heals_on_resubmission(tmp_path):
         # Enqueue notices the done row's payload fails its content
         # address, requeues it, and the deterministic workload
         # regenerates the bytes in flight.
-        results = service.run_specs([spec], timeout=120)
+        executor = FleetExecutor(service=service, timeout=120)
+        results = executor.run([spec])
         assert service.store_hits == 0
+        # ... so the run was executed, not served from the store.
+        assert not results[0].from_cache
+        assert (executor.hits, executor.misses) == (0, 1)
         payload = service.store.results.get_stored(spec.run_id).payload
         events = [
             entry["event"]

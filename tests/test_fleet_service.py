@@ -194,7 +194,7 @@ def test_harness_failure_fails_job_instead_of_wedging():
 
 
 def test_telemetry_persisted_per_drain_without_close(tmp_path):
-    # default_executor() users never call close(); the rollup must still
+    # executor_for("fleet") users never call close(); the rollup must still
     # land in the store at the end of each drain.
     db = tmp_path / "fleet.db"
     from repro.fleet import JobStore

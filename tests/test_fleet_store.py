@@ -154,43 +154,10 @@ def test_result_payload_delegated_to_experiment_store():
         stored = store.results.get_stored(spec.run_id)
         assert stored is not None
         assert stored.source == "fleet" and stored.device == "toronto"
-        # no inline payload left on the jobs row
-        row = store._conn.execute(
-            "SELECT result FROM jobs WHERE run_id = ?", (spec.run_id,)
-        ).fetchone()
-        assert row["result"] is None
-
-
-def test_legacy_inline_result_backfilled(tmp_path):
-    """Rows written before the store era (result JSON inline on the jobs
-    table) keep resolving, and the first read migrates them."""
-    import json
-
-    db = tmp_path / "fleet.db"
-    spec = _spec()
-    result = _result(spec)
-    with JobStore(db) as store:
-        store.enqueue(spec)
-        store.mark_done(spec.run_id, result, tick=1)
-        # Regress the row to the legacy layout by hand.
-        from repro.store import RunQuery
-
-        store.results.prune(RunQuery(run_ids=spec.run_id))
-        store._conn.execute(
-            "UPDATE jobs SET result = ? WHERE run_id = ?",
-            (json.dumps(result.to_dict()), spec.run_id),
-        )
-        store._conn.commit()
-        assert store.results.get(spec.run_id) is None
-        fetched = store.result(spec.run_id)
-        assert fetched == result
-        # the read healed the row into the store ...
-        assert store.results.get_stored(spec.run_id) is not None
-        # ... and blanked the inline copy.
-        row = store._conn.execute(
-            "SELECT result FROM jobs WHERE run_id = ?", (spec.run_id,)
-        ).fetchone()
-        assert row["result"] is None
+        # the jobs table has no payload column at all
+        with store.results.transaction() as conn:
+            columns = {row["name"] for row in conn.execute("PRAGMA table_info(jobs)")}
+        assert "result" not in columns
 
 
 def test_telemetry_rollup_accumulates(tmp_path):

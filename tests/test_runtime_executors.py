@@ -18,8 +18,8 @@ from repro.runtime import (
     RunResult,
     RunSpec,
     SerialExecutor,
-    default_executor,
     execute_run,
+    executor_for,
 )
 from repro.runtime.executors import BaseExecutor
 
@@ -128,31 +128,6 @@ def test_cached_executor_rejects_corrupt_entries(tmp_path):
     assert healed.from_cache
 
 
-def test_cached_executor_serves_legacy_json_dir(tmp_path):
-    """Pre-store caches (one JSON file per run) keep working as hits and
-    are ingested into the store on first touch."""
-    import json
-    import warnings
-
-    cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
-    spec = PLAN.expand()[0]
-    legacy = execute_run(spec)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy.save(cache_dir / f"{spec.run_id}.json")
-
-    counting = CountingExecutor()
-    cached = CachedExecutor(cache_dir, inner=counting)
-    hit = cached.run_one(spec)
-    assert hit.from_cache and counting.executed == 0
-    assert hit.to_dict()["result"] == legacy.to_dict()["result"]
-    # The legacy entry now lives in the store, tagged as an import.
-    stored = cached.store.get_stored(spec.run_id)
-    assert stored is not None and stored.source == "import"
-    assert json.loads(stored.payload) == legacy.result.to_dict()
-
-
 def test_cached_executor_shares_existing_store(tmp_path):
     from repro.store import ExperimentStore
 
@@ -170,10 +145,9 @@ def test_cached_executor_shares_existing_store(tmp_path):
 
 
 def test_executor_for_resolution(monkeypatch, tmp_path):
-    from repro.runtime import executor_for
     from repro.store import ExperimentStore
 
-    for env in ("REPRO_EXECUTOR", "REPRO_CACHE_DIR", "REPRO_STORE", "REPRO_JOBS"):
+    for env in ("REPRO_EXECUTOR", "REPRO_STORE", "REPRO_JOBS"):
         monkeypatch.delenv(env, raising=False)
 
     assert isinstance(executor_for(), SerialExecutor)
@@ -186,16 +160,11 @@ def test_executor_for_resolution(monkeypatch, tmp_path):
         assert isinstance(cached, CachedExecutor)
         assert cached.store is store
 
-    # REPRO_STORE picks a sqlite-backed cache ...
+    # REPRO_STORE picks a sqlite-backed cache.
     monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env-store.sqlite"))
     cached = executor_for()
     assert isinstance(cached, CachedExecutor)
     assert cached.store.path == str(tmp_path / "env-store.sqlite")
-    cached.close()
-
-    # ... but an explicit cache_dir argument still beats the env knob.
-    cached = executor_for(cache_dir=tmp_path / "dir-cache")
-    assert cached.cache_dir == tmp_path / "dir-cache"
     cached.close()
 
 
@@ -227,35 +196,36 @@ def test_parallel_single_spec_stays_in_process():
     assert len(out) == 1 and out[0].run_id == spec.run_id
 
 
-def test_default_executor_env_selection(monkeypatch, tmp_path):
+def test_executor_for_env_selection(monkeypatch, tmp_path):
     monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    assert isinstance(default_executor(), SerialExecutor)
+    monkeypatch.delenv("REPRO_STORE", raising=False)
+    assert isinstance(executor_for(), SerialExecutor)
 
     monkeypatch.setenv("REPRO_EXECUTOR", "parallel")
     monkeypatch.setenv("REPRO_JOBS", "3")
-    executor = default_executor()
+    executor = executor_for()
     assert isinstance(executor, ParallelExecutor)
     assert executor.max_workers == 3
 
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    cached = default_executor()
+    monkeypatch.setenv("REPRO_STORE", str(tmp_path / "cache"))
+    cached = executor_for()
     assert isinstance(cached, CachedExecutor)
     assert isinstance(cached.inner, ParallelExecutor)
+    cached.close()
 
     monkeypatch.setenv("REPRO_EXECUTOR", "bogus")
     with pytest.raises(ValueError):
-        default_executor()
+        executor_for()
 
 
-def test_default_executor_fleet_selection(monkeypatch, tmp_path):
+def test_executor_for_fleet_selection(monkeypatch, tmp_path):
     from repro.fleet import FleetExecutor
 
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.delenv("REPRO_STORE", raising=False)
     monkeypatch.setenv("REPRO_EXECUTOR", "fleet")
     monkeypatch.setenv("REPRO_FLEET_DB", str(tmp_path / "fleet.db"))
     monkeypatch.setenv("REPRO_FLEET_MACHINES", "toronto,guadalupe")
-    executor = default_executor()
+    executor = executor_for()
     try:
         assert isinstance(executor, FleetExecutor)
         assert executor.store.path == str(tmp_path / "fleet.db")
@@ -263,9 +233,9 @@ def test_default_executor_fleet_selection(monkeypatch, tmp_path):
     finally:
         executor.close()
 
-    # REPRO_CACHE_DIR composes: disk cache in front of the fleet.
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    cached = default_executor()
+    # REPRO_STORE composes: a store-backed cache in front of the fleet.
+    monkeypatch.setenv("REPRO_STORE", str(tmp_path / "cache"))
+    cached = executor_for()
     try:
         assert isinstance(cached, CachedExecutor)
         assert isinstance(cached.inner, FleetExecutor)

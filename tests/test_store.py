@@ -1,6 +1,8 @@
 """Experiment store: content addressing, queries, aggregates, maintenance."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -9,8 +11,8 @@ from repro.store import (
     DEFAULT_VIEW,
     ExperimentStore,
     RunQuery,
+    StoredRun,
     export_plan_result,
-    export_runs,
     open_store,
     payload_hash,
     resolve_store_path,
@@ -242,6 +244,84 @@ def test_materialize_skips_cells_missing_baseline(outcome):
             store.aggregate_materialized()
 
 
+def test_failed_materialize_commits_nothing(tmp_path, monkeypatch):
+    """A run that fails to decode mid-refresh rolls the whole refresh
+    back: the next write on the connection must not commit half a view."""
+    plan = ExperimentPlan(
+        apps=("App1", "App2"), schemes=("baseline", "qismet"),
+        iterations=4, seeds=(5,),
+    )
+    runs = SerialExecutor().run_plan(plan).runs
+    unrelated = SerialExecutor().run(
+        [RunSpec(app="App1", scheme="noise-free", iterations=4, seed=6)]
+    )[0]
+    db = tmp_path / "store.sqlite"
+    with ExperimentStore(db) as store:
+        store.append_many(runs)
+        store.materialize()
+        aggregate = store.aggregate_materialized()
+        views = store.info()["views"]
+        decode = StoredRun.to_run_result
+
+        def app2_fails(self, *args, **kwargs):
+            if self.app == "App2":
+                raise ValueError("undecodable payload")
+            return decode(self, *args, **kwargs)
+
+        monkeypatch.setattr(StoredRun, "to_run_result", app2_fails)
+        with pytest.raises(ValueError, match="undecodable"):
+            store.materialize(full=True)
+        monkeypatch.undo()
+        assert store.append(unrelated)
+    with ExperimentStore(db) as store:
+        assert store.aggregate_materialized() == aggregate
+        assert store.info()["views"] == views
+        assert unrelated.run_id in store
+
+
+def test_threads_sharing_a_store_commit_whole_transactions(tmp_path):
+    """Each transaction() block commits or rolls back as a unit, with its
+    nested journal writes, while other threads write to the same store."""
+    store = ExperimentStore(tmp_path / "store.sqlite")
+    errors = []
+
+    def worker(index):
+        for step in range(40):
+            try:
+                with store.transaction():
+                    store.journal_append("first", f"w{index}-{step}")
+                    store.journal_append("second", f"w{index}-{step}")
+                    if step % 2:
+                        raise KeyError("roll this block back")
+            except KeyError:
+                pass
+            except Exception as exc:  # noqa: BLE001 — collected for assert
+                errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    store.close()
+    with ExperimentStore(tmp_path / "store.sqlite") as reopened:
+        entries = reopened.journal_entries()
+    by_run = {}
+    for entry in entries:
+        by_run.setdefault(entry["run_id"], []).append(entry["event"])
+    assert sorted(by_run) == sorted(
+        f"w{i}-{step}" for i in range(8) for step in range(0, 40, 2)
+    )
+    assert all(events == ["first", "second"] for events in by_run.values())
+
+
 def test_aggregate_materialized_requires_materialize(store):
     with pytest.raises(ValueError, match="no materialized cells"):
         store.aggregate_materialized()
@@ -270,46 +350,6 @@ def test_compact_reclaims_orphaned_blobs(store):
     assert len(store.query_runs()) == 6
 
 
-# -- legacy ingestion ----------------------------------------------------------
-
-
-def test_import_legacy_plan_result_file(tmp_path, outcome):
-    plan_file = tmp_path / "plan-result.json"
-    with pytest.warns(DeprecationWarning):
-        outcome.save(plan_file)
-    with ExperimentStore() as store:
-        report = store.import_legacy(plan_file)
-        assert report == {"ingested": 12, "skipped": 0, "errors": 0}
-        again = store.import_legacy(plan_file)
-        assert again == {"ingested": 0, "skipped": 12, "errors": 0}
-        assert store.aggregate(
-            RunQuery(run_ids=[r.run_id for r in outcome])
-        ) == outcome.geomean_improvements()
-
-
-def test_import_legacy_fleet_db(tmp_path, outcome):
-    import sqlite3
-
-    db = tmp_path / "legacy-fleet.db"
-    conn = sqlite3.connect(str(db))
-    conn.execute(
-        "CREATE TABLE jobs (run_id TEXT PRIMARY KEY, status TEXT,"
-        " device TEXT, result TEXT)"
-    )
-    run = outcome.runs[0]
-    conn.execute(
-        "INSERT INTO jobs VALUES (?, 'done', 'toronto', ?)",
-        (run.run_id, json.dumps(run.to_dict())),
-    )
-    conn.commit()
-    conn.close()
-    with ExperimentStore() as store:
-        report = store.import_legacy(db)
-        assert report["ingested"] == 1
-        stored = store.get_stored(run.run_id)
-        assert stored.device == "toronto" and stored.source == "import"
-
-
 # -- export facade -------------------------------------------------------------
 
 
@@ -328,17 +368,6 @@ def test_export_plan_result_roundtrip(tmp_path, store, outcome):
 
     with pytest.raises(KeyError):
         export_plan_result(store, ["missing-run"], tmp_path / "nope.json")
-
-
-def test_export_runs_writes_per_run_files(tmp_path, store, outcome):
-    written = export_runs(store, RunQuery(apps="App1"), tmp_path / "dump")
-    assert written == 6
-    files = sorted((tmp_path / "dump").glob("*.json"))
-    assert len(files) == 6
-    # an exported directory is itself a valid legacy import source
-    with ExperimentStore() as fresh:
-        report = fresh.import_legacy(tmp_path / "dump")
-        assert report["ingested"] == 6
 
 
 # -- introspection -------------------------------------------------------------

@@ -89,39 +89,6 @@ def test_compact(store_path, capsys):
     assert summary == {"blobs_removed": 0, "bytes_reclaimed": 0}
 
 
-def test_import_legacy_strict_flag(tmp_path, capsys):
-    legacy = tmp_path / "legacy"
-    legacy.mkdir()
-    (legacy / "bad.json").write_text("{broken")
-    store = str(tmp_path / "store.sqlite")
-
-    assert main(["--store", store, "--json", "import-legacy", str(legacy)]) == 0
-    assert json.loads(capsys.readouterr().out)["errors"] == 1
-
-    assert (
-        main(
-            ["--store", store, "--json", "import-legacy", str(legacy), "--strict"]
-        )
-        == 1
-    )
-
-
-def test_import_legacy_ingests_cache_dir(tmp_path, outcome, capsys):
-    import warnings
-
-    legacy = tmp_path / "cache"
-    legacy.mkdir()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for run in outcome:
-            run.save(legacy / f"{run.run_id}.json")
-    store = str(tmp_path / "store.sqlite")
-    assert main(["--store", store, "--json", "import-legacy", str(legacy)]) == 0
-    assert json.loads(capsys.readouterr().out)["ingested"] == 4
-    assert main(["--store", store, "--json", "query", "--source", "import"]) == 0
-    assert len(json.loads(capsys.readouterr().out)) == 4
-
-
 def test_module_entrypoint(store_path):
     import os
     import subprocess
