@@ -20,7 +20,7 @@ class IdealBackend(EnergyBackend):
         self.objective = objective
 
     def _evaluate(self, theta: np.ndarray, job_index: int) -> float:
-        return self.objective.ideal_energy(theta)
+        return self.objective.energy_at(theta)
 
     def _evaluate_batch(
         self, thetas: np.ndarray, job_indices: Sequence[int]

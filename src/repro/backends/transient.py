@@ -66,7 +66,7 @@ class StaticNoiseBackend(EnergyBackend):
         return self._static_mix(ideal) + self.rng.normal(0.0, self.shot_sigma)
 
     def _evaluate(self, theta: np.ndarray, job_index: int) -> float:
-        return self._finish(theta, self.objective.ideal_energy(theta), job_index)
+        return self._finish(theta, self.objective.energy_at(theta), job_index)
 
     def _evaluate_batch(
         self, thetas: np.ndarray, job_indices: Sequence[int]
@@ -192,4 +192,4 @@ class TransientBackend(StaticNoiseBackend):
         return static + fraction * reference + self.rng.normal(0.0, self.shot_sigma)
 
     def _evaluate(self, theta: np.ndarray, job_index: int) -> float:
-        return self._finish(theta, self.objective.ideal_energy(theta), job_index)
+        return self._finish(theta, self.objective.energy_at(theta), job_index)

@@ -10,6 +10,8 @@ closed form for periodic chains of any size as a cross-check.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.operators.pauli_sum import PauliSum
@@ -52,7 +54,18 @@ def tfim_exact_ground_energy(
     Dense diagonalization for chains up to 14 sites; the free-fermion
     formula (valid for the periodic chain in the even-parity sector, an
     excellent approximation at these sizes) for larger periodic chains.
+    Results are memoized per argument tuple: every run of an experiment
+    grid asks for the same few chains.
     """
+    return _exact_ground_energy(
+        int(num_qubits), float(coupling), float(field), bool(periodic)
+    )
+
+
+@lru_cache(maxsize=64)
+def _exact_ground_energy(
+    num_qubits: int, coupling: float, field: float, periodic: bool
+) -> float:
     if num_qubits <= 14:
         return tfim_hamiltonian(
             num_qubits, coupling, field, periodic

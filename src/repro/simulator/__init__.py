@@ -10,7 +10,9 @@ an ensemble of pure states, sharing the batched gate kernels).
 
 All four route gate application through :mod:`repro.simulator.kernels`:
 bit-indexed in-place kernels, with the reshape + ``tensordot`` reference
-(:func:`apply_gate_tensordot`) as the route for small states.
+(:func:`apply_gate_tensordot`) as the route for small states. The two
+statevector engines run plans of at most 7 qubits as a precompiled
+layered program instead (:mod:`repro.simulator.small_state`).
 """
 
 from repro.simulator import kernels

@@ -17,10 +17,14 @@ Two contraction kinds cover a compiled plan:
   (:meth:`repro.compiler.GatePlan.bind_angles_batch`), each op's matrices
   are stacked into ``(B, 2**k, 2**k)`` and applied elementwise.
 
-Numerics: the same complex128 arithmetic as the serial path; results
-agree with per-element serial simulation to floating-point
-reassociation (documented contract: ``<= 1e-12`` absolute on amplitudes
-and energies — see ``tests/test_batched_equivalence.py``).
+Plans of at most
+:data:`~repro.simulator.small_state.SMALL_STATE_MAX_QUBITS` qubits run as
+the plan's layered program, the one the serial simulator runs with a
+batch of one, so each row is bitwise equal to its serial run
+(``tests/test_small_state.py``). Wider plans run through the fused run
+loop and agree with per-element serial simulation to floating-point
+reassociation (``<= 1e-12`` absolute on amplitudes and energies — see
+``tests/test_batched_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from repro.circuits.gates import (
 )
 from repro.compiler import GatePlan, compile_plan
 from repro.obs import TRACER
-from repro.simulator import kernels
+from repro.simulator import kernels, small_state
 
 __all__ = [
     "BATCHED_GATE_BUILDERS",
@@ -84,26 +88,38 @@ class BatchedStatevectorSimulator:
         """Run a gate plan for a ``(B, P)`` parameter batch.
 
         The whole ``(B, num_param_ops)`` angle table is one affine NumPy
-        map; per-op matrix stacks are built by the vectorized constructors
-        in :mod:`repro.circuits.gates`. Static ops apply their shared
-        matrix, parameterized ops their per-element stack, through the
-        shared fused run loop (:func:`repro.simulator.kernels.run_fused`).
-        Returns the final ``(B,) + (2,) * n`` state tensor batch.
+        map. Small plans run as their layered program
+        (:mod:`repro.simulator.small_state`); wider ones build per-op
+        matrix stacks with the vectorized constructors in
+        :mod:`repro.circuits.gates` and apply them, static ops their
+        shared matrix, through the fused run loop
+        (:func:`repro.simulator.kernels.run_fused`). Returns the final
+        ``(B,) + (2,) * n`` state tensor batch.
         """
         if plan.num_qubits != self.num_qubits:
             raise ValueError("plan qubit count mismatch")
         angles = plan.bind_angles_batch(thetas)
         batch = angles.shape[0]
+        span = TRACER.span(
+            "sim.batched.run_plan", category="kernel",
+            ops=len(plan.ops), batch=batch,
+            state_size=2**plan.num_qubits,
+        )
+        if plan.num_qubits <= small_state.SMALL_STATE_MAX_QUBITS:
+            initial = (
+                None
+                if initial_states is None
+                else np.asarray(initial_states, dtype=complex).reshape(batch, -1)
+            )
+            with span:
+                states = small_state.layered_program(plan).run(angles, initial)
+            return states.reshape((batch,) + (2,) * self.num_qubits)
         states = self._initial(batch, initial_states)
         matrices = [
             batched_gate_matrices(name, angles[:, slot])
             for slot, name in enumerate(plan.slot_gate_names)
         ]
-        with TRACER.span(
-            "sim.batched.run_plan", category="kernel",
-            ops=len(plan.ops), batch=batch,
-            state_size=2**plan.num_qubits,
-        ):
+        with span:
             return kernels.run_fused(
                 plan, matrices, states, batch_axes=1,
                 gate_span="kernel.batched.gate",

@@ -9,7 +9,10 @@ state **in place**, dense 1q/2q gates GEMM into a ping-pong ``scratch``
 buffer, and dense ``k >= 3`` operators — like every state smaller than
 :data:`PAIR_MIN_STATE_SIZE` — take the tensordot reference
 (:mod:`repro.simulator.kernels.reference`).  The serial and batched
-statevector simulators share one fused run loop, :func:`run_fused`.
+statevector simulators share one fused run loop, :func:`run_fused`, for
+plans wider than the small-state boundary; smaller plans run as a
+layered program (:mod:`repro.simulator.small_state`), which bumps the
+same counters once per execution from its step histogram.
 
 Call convention for the run loops::
 
@@ -528,7 +531,10 @@ def run_fused(
 ) -> np.ndarray:
     """Execute a gate plan on a state (or state batch) with run-loop fusion.
 
-    The one run loop of the serial and batched statevector simulators.
+    The run loop of the serial and batched statevector simulators for
+    plans wider than :data:`repro.simulator.small_state.
+    SMALL_STATE_MAX_QUBITS` qubits (smaller plans run as a layered
+    program, for which this loop is the test oracle).
     Single-qubit ops accumulate per target qubit
     (:class:`PendingOneQubitGates`); a two-qubit op absorbs the pending
     gates on its qubits (:func:`absorb_pending_2q`) and passes through

@@ -6,8 +6,10 @@ print qubit 0 as the leftmost character.
 
 Execution consumes the compiler's :class:`~repro.compiler.GatePlan` IR;
 ``run_circuit`` compiles through the shared plan cache, so repeated
-bound-circuit runs are compile-free. Gates apply through the shared
-fused run loop, :func:`repro.simulator.kernels.run_fused`.
+bound-circuit runs are compile-free. Plans of at most
+:data:`~repro.simulator.small_state.SMALL_STATE_MAX_QUBITS` qubits run as
+the plan's layered program with a batch of one; wider plans run through
+the shared fused run loop, :func:`repro.simulator.kernels.run_fused`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler import GatePlan, compile_plan
 from repro.obs import TRACER
-from repro.simulator import kernels
+from repro.simulator import kernels, small_state
 
 
 class StatevectorSimulator:
@@ -51,12 +53,23 @@ class StatevectorSimulator:
         """Run a compiled gate plan and return the final state tensor."""
         if plan.num_qubits != self.num_qubits:
             raise ValueError("plan qubit count mismatch")
-        state = self._initial(initial_state)
-        matrices = plan.slot_matrices(plan.bind_angles(theta))
-        with TRACER.span(
+        angles = plan.bind_angles(theta)
+        span = TRACER.span(
             "sim.statevector.run_plan", category="kernel",
             ops=len(plan.ops), state_size=2**plan.num_qubits,
-        ):
+        )
+        if plan.num_qubits <= small_state.SMALL_STATE_MAX_QUBITS:
+            initial = (
+                None
+                if initial_state is None
+                else np.asarray(initial_state, dtype=complex).reshape(1, -1)
+            )
+            with span:
+                state = small_state.layered_program(plan).run(angles[None, :], initial)
+            return state.reshape((2,) * self.num_qubits)
+        state = self._initial(initial_state)
+        matrices = plan.slot_matrices(angles)
+        with span:
             return kernels.run_fused(plan, matrices, state)
 
     def run_circuit(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -18,6 +18,18 @@ from repro.simulator.statevector import StatevectorSimulator
 #: (``O(terms * 2**n)`` per evaluation, no large cache).
 _DENSE_LIMIT_QUBITS = 10
 
+#: How many of its latest serial energies an objective remembers for
+#: :meth:`EnergyObjective.energy_at`. A VQE run re-asks for points it
+#: has just evaluated (the accepted point's true energy, QISMET's rerun
+#: of the previous circuit), and these sit among the last few serial
+#: evaluations.
+ENERGY_MEMO_SIZE = 4
+
+
+def _memo_key(theta) -> Tuple[Tuple[int, ...], bytes]:
+    theta = np.asarray(theta, dtype=float)
+    return theta.shape, theta.tobytes()
+
 
 class EnergyObjective:
     """Exact (transient-free, noise-free) energy evaluation.
@@ -31,7 +43,14 @@ class EnergyObjective:
     :meth:`batch_energies` evaluates a whole ``(B, P)`` block of parameter
     sets through the batched simulator in one NumPy pass; results match
     serial :meth:`ideal_energy` calls to within floating-point
-    reassociation (<= 1e-12 absolute).
+    reassociation (<= 1e-12 absolute), and bit for bit on the
+    small-state route (:mod:`repro.simulator.small_state`).
+
+    :meth:`ideal_energy` always simulates and remembers its last
+    :data:`ENERGY_MEMO_SIZE` results, keyed on the exact bytes of
+    ``theta``; :meth:`energy_at` serves a remembered point from that
+    memo, so a repeat costs a dict lookup and returns the very float the
+    simulation returned.
     """
 
     def __init__(self, ansatz: Ansatz, hamiltonian: PauliSum):
@@ -47,6 +66,7 @@ class EnergyObjective:
         self._simulator = StatevectorSimulator(ansatz.num_qubits)
         self._batched_simulator = BatchedStatevectorSimulator(ansatz.num_qubits)
         self._dense: Optional[np.ndarray] = None
+        self._memo: Dict[Tuple[Tuple[int, ...], bytes], float] = {}
         self.evaluations = 0
 
     @property
@@ -73,14 +93,32 @@ class EnergyObjective:
         return state.reshape(-1)
 
     def ideal_energy(self, theta: np.ndarray) -> float:
-        """Exact ``<psi(theta)|H|psi(theta)>``."""
+        """Exact ``<psi(theta)|H|psi(theta)>``, simulated on every call."""
         self.evaluations += 1
         state = self._simulator.run_plan(self._plan, theta)
         psi = state.reshape(-1)
         if self.uses_dense_hamiltonian:
             dense = self._dense_matrix()
-            return float(np.real(np.vdot(psi, dense @ psi)))
-        return self.hamiltonian.expectation(psi)
+            energy = float(np.real(np.vdot(psi, dense @ psi)))
+        else:
+            energy = self.hamiltonian.expectation(psi)
+        if ENERGY_MEMO_SIZE > 0:
+            key = _memo_key(theta)
+            self._memo.pop(key, None)
+            self._memo[key] = energy
+            while len(self._memo) > ENERGY_MEMO_SIZE:
+                del self._memo[next(iter(self._memo))]
+        return energy
+
+    def energy_at(self, theta: np.ndarray) -> float:
+        """:meth:`ideal_energy`, unless a recent one already computed it.
+
+        Only serial evaluations fill the memo; a miss simulates.
+        """
+        energy = self._memo.get(_memo_key(theta))
+        if energy is None:
+            return self.ideal_energy(theta)
+        return energy
 
     def batch_energies(self, thetas: np.ndarray) -> np.ndarray:
         """Exact energies for a ``(B, P)`` batch of parameter vectors.
@@ -89,7 +127,9 @@ class EnergyObjective:
         (one NumPy contraction per gate instead of ``B``), which is the
         hot-path lever for SPSA pairs, resampled gradients and multi-seed
         populations. ``batch_energies(thetas)[i]`` equals
-        ``ideal_energy(thetas[i])`` up to fp reassociation (<= 1e-12).
+        ``ideal_energy(thetas[i])`` bit for bit on the small-state route
+        and up to fp reassociation (<= 1e-12) above it. Batched rows do
+        not fill the :meth:`energy_at` memo.
         """
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != self.num_parameters:

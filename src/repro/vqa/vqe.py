@@ -141,7 +141,7 @@ class VQE:
             index=index,
             machine_energy=machine_energy,
             true_energy=(
-                self.objective.ideal_energy(theta)
+                self.objective.energy_at(theta)
                 if self.track_true_energy
                 else None
             ),
