@@ -10,16 +10,13 @@ Every entry is its own ``reference``, which exempts the family from the
 generic normalized-regression gate: the explicit speedup floors are the
 tighter, variance-tolerant check.
 
-Three workloads:
+Two workloads:
 
 * ``kernel_vqe_iteration_16q`` — one batched VQE iteration: 8 parameter
   sets through a 16-qubit EfficientSU2(reps=2) plan on the flat batched
   simulator. This is the paper-scale hot loop the kernels exist for.
 * ``kernel_statevector_20q`` — a single 20-qubit serial plan execution
   (16 MiB statevector), exercising the chunked cache-blocked path.
-* ``kernel_trajectory_16q`` — 4 noisy trajectories at 16 qubits; Kraus
-  unraveling dominates its runtime, so it has no reference sibling and
-  no floor.
 
 Every entry records a ``bytes_touched`` estimate (from the
 ``kernel.*.bytes`` counters) for one workload execution, which makes
@@ -36,8 +33,6 @@ import numpy as np
 
 from repro.ansatz.efficient_su2 import EfficientSU2
 from repro.circuits.gates import stacked_gate_matrices
-from repro.compiler import compile_noise_plan
-from repro.noise.noise_model import NoiseModel
 from repro.obs.metrics import METRICS
 from repro.simulator.batched import BatchedStatevectorSimulator
 from repro.simulator.kernels.reference import (
@@ -45,7 +40,6 @@ from repro.simulator.kernels.reference import (
     apply_gates_elementwise_reference,
 )
 from repro.simulator.statevector import StatevectorSimulator
-from repro.simulator.trajectory import TrajectorySimulator
 
 _CACHE: Dict[str, object] = {}
 
@@ -68,20 +62,6 @@ def _workload_20q():
         )
         _CACHE["20q"] = (plan, theta)
     return _CACHE["20q"]
-
-
-def _workload_traj_16q():
-    if "traj" not in _CACHE:
-        ansatz = EfficientSU2(16, reps=2)
-        circuit = ansatz.bind(
-            np.random.default_rng(2023).uniform(
-                -np.pi, np.pi, ansatz.num_parameters
-            )
-        )
-        _CACHE["traj"] = compile_noise_plan(
-            circuit, NoiseModel(0.004, 0.03), cache=False
-        )
-    return _CACHE["traj"]
 
 
 def _kernel_bytes(func: Callable) -> int:
@@ -189,21 +169,3 @@ def test_kernel_statevector_20q_pair(record_benchmark):
         engine="pair",
     )
     assert np.isfinite(state).all()
-
-
-def test_kernel_trajectory_16q_pair(record_benchmark):
-    plan = _workload_traj_16q()
-
-    def run():
-        return TrajectorySimulator(16, seed=7).run_noise_plan(plan, 4)
-
-    states = _bench(
-        record_benchmark,
-        "kernel_trajectory_16q",
-        run,
-        rounds=3,
-        qubits=16,
-        trajectories=4,
-        engine="pair",
-    )
-    assert np.isfinite(states).all()

@@ -4,17 +4,12 @@ One cost family, normalized within itself (see ``tools/check_bench.py``):
 ``noisy_counts_walk_8q`` — the pre-engine shot path (per-instruction
 density-matrix Kraus walk, gate matrices and channel operator lists
 rebuilt per call, explicit Python loop over Kraus operators) — is the
-family's unit of measurement. Against it run:
-
-* ``noisy_counts_8q`` — the shot-level :class:`~repro.backends.counts.
-  CountsBackend` hot path on the compiled :class:`~repro.compiler.
-  NoisePlan` (channel-aware fusion, unitary absorption, one
-  superoperator contraction per channel site, content-cached lowering).
-  The derived ``noisy_engine_speedup_8q`` ratio is gated in CI with a
-  5x floor.
-* ``trajectory_batch_8q`` — the batched quantum-trajectory unraveling of
-  the same plan (256 trajectories through the leading-batch-axis
-  kernels), the engine's second execution route.
+family's unit of measurement. Against it runs ``noisy_counts_8q``, the
+shot-level :class:`~repro.backends.counts.CountsBackend` hot path on the
+compiled :class:`~repro.compiler.NoisePlan` (channel-aware fusion,
+unitary absorption, one superoperator contraction per channel site,
+content-cached lowering). The derived ``noisy_engine_speedup_8q`` ratio
+is gated in CI with a 5x floor.
 
 The workload is the paper-shaped 8-qubit native-basis ansatz under a
 device-style depolarizing model with *virtual* (noiseless) ``rz`` —
@@ -28,16 +23,13 @@ import numpy as np
 
 from repro.ansatz.efficient_su2 import EfficientSU2
 from repro.backends.counts import CountsBackend
-from repro.compiler import compile_noise_plan
 from repro.noise.noise_model import NoiseModel
 from repro.simulator.density_matrix import DensityMatrixSimulator
 from repro.simulator.sampling import counts_from_probabilities
-from repro.simulator.trajectory import TrajectorySimulator
 from repro.transpiler.basis import translate_to_basis
 
 QUBITS = 8
 SHOTS = 4096
-TRAJECTORIES = 256
 
 
 def _noise_model() -> NoiseModel:
@@ -83,7 +75,7 @@ def test_noisy_counts_walk_8q(record_benchmark):
 def test_noisy_counts_8q(record_benchmark):
     """The vectorized engine's shot path, plan-cached and fused."""
     circuit = _bound_circuit()
-    backend = CountsBackend(noise_model=_noise_model(), seed=7, engine="dm")
+    backend = CountsBackend(noise_model=_noise_model(), seed=7)
     backend.run(circuit, SHOTS)  # warm the lowering/plan caches
 
     counts = record_benchmark(
@@ -103,21 +95,3 @@ def test_noisy_counts_8q(record_benchmark):
     np.testing.assert_allclose(
         backend.probabilities(circuit), walk_probs, atol=1e-12, rtol=0.0
     )
-
-
-def test_trajectory_batch_8q(record_benchmark):
-    """Batched trajectory unraveling of the same noisy workload."""
-    circuit = _bound_circuit()
-    plan = compile_noise_plan(circuit, _noise_model())
-    simulator = TrajectorySimulator(QUBITS, seed=3)
-
-    probs = record_benchmark(
-        "trajectory_batch_8q",
-        lambda: simulator.probabilities(plan, TRAJECTORIES),
-        rounds=3,
-        reference="noisy_counts_walk_8q",
-        qubits=QUBITS,
-        batch=TRAJECTORIES,
-    )
-    assert probs.shape == (2**QUBITS,)
-    np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-9)

@@ -26,9 +26,8 @@ The batched evaluation engine (``BatchedStatevectorSimulator``,
 ``EnergyObjective.batch_energies``, ``PopulationVQE``), the unified
 compiler pipeline (``compile_plan``, ``compile_noise_plan``,
 ``transpile_then_compile``, ``GatePlan``, ``NoisePlan``; see
-:mod:`repro.compiler`), the noisy-execution engines
-(``DensityMatrixSimulator``, ``TrajectorySimulator``; knob
-``REPRO_NOISY_ENGINE=dm|traj``) and the fleet scheduling service
+:mod:`repro.compiler`), the noisy-execution engine
+(``DensityMatrixSimulator``) and the fleet scheduling service
 (``FleetExecutor``, ``FleetService``, ``DeviceFleet``; see
 :mod:`repro.fleet`) are exported here too, so workers and downstream
 users never need to reach into submodules.
@@ -55,7 +54,6 @@ from repro.compiler import (
 from repro.simulator import (
     BatchedStatevectorSimulator,
     DensityMatrixSimulator,
-    TrajectorySimulator,
     simulate_statevectors,
 )
 from repro.core import (
@@ -141,7 +139,6 @@ __all__ = [
     "SerialExecutor",
     "BatchedStatevectorSimulator",
     "DensityMatrixSimulator",
-    "TrajectorySimulator",
     "simulate_statevectors",
     "DeviceFleet",
     "FleetExecutor",

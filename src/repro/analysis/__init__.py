@@ -33,7 +33,6 @@ from repro.analysis.lint import lint_paths, lint_source
 from repro.analysis.verify import (
     DEFAULT_ATOL,
     PlanVerificationError,
-    verification_enabled,
     verify_circuit,
     verify_compilation_unit,
     verify_device_compilation,
@@ -41,6 +40,7 @@ from repro.analysis.verify import (
     verify_kraus_site,
     verify_noise_plan,
 )
+from repro.compiler.passes import verification_enabled
 
 __all__ = [
     "CODE_TABLE",

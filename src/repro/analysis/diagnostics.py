@@ -61,7 +61,7 @@ CODE_TABLE: Dict[str, CodeSpec] = {
         CodeSpec("RPR006", "non-cptp", Severity.ERROR,
                  "Kraus stack violates trace preservation (sum K^dag K != I)"),
         CodeSpec("RPR007", "superop-mismatch", Severity.ERROR,
-                 "pre-compiled superoperator/probes disagree with the Kraus stack"),
+                 "pre-compiled superoperator disagrees with the Kraus stack"),
         CodeSpec("RPR008", "measurement-coverage", Severity.ERROR,
                  "logical measurement positions missing, duplicated or out of range"),
         CodeSpec("RPR009", "coupling-violation", Severity.ERROR,

@@ -10,7 +10,7 @@ Every invariant the execution engines silently assume is checked here
   table row owned by exactly one op), unitarity of every static (possibly
   fused) matrix, and cache-key soundness against the source circuit;
 * :func:`verify_noise_plan` — everything above plus CPTP validation of
-  every pre-stacked Kraus site, superoperator/probe consistency, and the
+  every pre-stacked Kraus site, superoperator consistency, and the
   noise-model fingerprint actually folded into the cache key;
 * :func:`verify_device_compilation` — post-routing conformance: native
   basis membership, coupling-map adjacency (through the trimmed->physical
@@ -25,7 +25,6 @@ model.
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,12 +36,6 @@ from repro.circuits.parameter import ParameterExpression
 
 #: Numeric tolerance for unitarity / CPTP / consistency checks.
 DEFAULT_ATOL = 1e-8
-
-
-def verification_enabled() -> bool:
-    """Whether the compiler should verify plans (``REPRO_VERIFY=1``)."""
-    value = os.environ.get("REPRO_VERIFY", "").strip().lower()
-    return value in ("1", "on", "true", "yes")
 
 
 class PlanVerificationError(RuntimeError):
@@ -284,7 +277,7 @@ def _check_plan_key(plan, circuit, parameters, report: AnalysisReport) -> None:
 def verify_kraus_site(
     op, locus: str, report: AnalysisReport, *, atol: float = DEFAULT_ATOL
 ) -> None:
-    """CPTP + superoperator/probe consistency of one :class:`ChannelOp`."""
+    """CPTP + superoperator consistency of one :class:`ChannelOp`."""
     from repro.compiler.noise_plan import kraus_superoperator
 
     kraus = np.asarray(op.kraus)
@@ -314,15 +307,6 @@ def verify_kraus_site(
         report.add(
             "RPR007",
             "pre-compiled superoperator disagrees with the Kraus stack",
-            locus=locus,
-        )
-    expected_probes = np.matmul(kraus.conj().transpose(0, 2, 1), kraus)
-    if op.probes is not None and not np.allclose(
-        op.probes, expected_probes, atol=atol
-    ):
-        report.add(
-            "RPR007",
-            "pre-compiled branch probes disagree with the Kraus stack",
             locus=locus,
         )
 

@@ -4,20 +4,9 @@ Runs real circuits through the vectorized noisy-execution engine: a
 (circuit, noise model) pair lowers once into a channel-aware
 :class:`~repro.compiler.NoisePlan` (static-gate fusion between channel
 sites, adjacent unitaries absorbed into pre-stacked Kraus arrays, one
-pre-compiled superoperator per channel site) and executes on one of two
-routes sharing that IR:
-
-* ``dm`` (default) — exact density-matrix evolution, bit-compatible with
-  the historic per-instruction Kraus walk for fixed seeds;
-* ``traj`` — batched quantum-trajectory unraveling
-  (:class:`~repro.simulator.trajectory.TrajectorySimulator`): an
-  ensemble of pure-state trajectories propagated with the leading-batch-
-  axis kernels, with shots sampled across the per-trajectory outcome
-  distributions.
-
-Select the route with the ``REPRO_NOISY_ENGINE`` environment knob (or
-the ``engine`` constructor argument); ``REPRO_TRAJECTORIES`` sizes the
-trajectory ensemble.
+pre-compiled superoperator per channel site) and executes as exact
+density-matrix evolution, bit-compatible with the historic
+per-instruction Kraus walk for fixed seeds.
 
 Everything the backend compiles is content-hash cached per instance:
 device lowerings (through the compiler's single
@@ -31,7 +20,6 @@ through the transpiler's final qubit permutation into logical order.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -54,35 +42,19 @@ from repro.operators.grouping import group_commuting_terms, measurement_bases
 from repro.operators.measurement_basis import basis_rotation_circuit, diagonal_value
 from repro.operators.pauli_sum import PauliSum
 from repro.simulator.density_matrix import DensityMatrixSimulator
-from repro.simulator.sampling import (
-    counts_from_probabilities,
-    counts_from_trajectory_rows,
-)
-from repro.simulator.trajectory import TrajectorySimulator
+from repro.simulator.sampling import counts_from_probabilities
 from repro.utils.rng import SeedLike, ensure_rng
-
-#: Default trajectory-ensemble size for the ``traj`` engine.
-DEFAULT_TRAJECTORIES = 512
 
 #: Per-instance cap on the content-hash artifact caches.
 _INSTANCE_CACHE_CAPACITY = 256
 
 
 def noisy_engine_default() -> str:
-    """The engine the ``REPRO_NOISY_ENGINE`` environment knob selects."""
-    value = os.environ.get("REPRO_NOISY_ENGINE", "").strip().lower()
-    return value if value else "dm"
+    """The noisy-execution route: always exact density-matrix (``dm``).
 
-
-def default_trajectories() -> int:
-    """Trajectory-ensemble size from ``REPRO_TRAJECTORIES`` (default 512)."""
-    value = os.environ.get("REPRO_TRAJECTORIES", "").strip()
-    if not value:
-        return DEFAULT_TRAJECTORIES
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return DEFAULT_TRAJECTORIES
+    Kept so run manifests can record the resolved setting.
+    """
+    return "dm"
 
 
 def _instance_cache(name: str) -> PlanCache:
@@ -106,11 +78,8 @@ class CountsBackend:
     native basis) before simulation, and all counts / probabilities are
     reported in *logical* qubit order regardless of routing permutations.
 
-    ``engine`` picks the noisy-execution route (``"dm"`` or ``"traj"``),
-    defaulting to the ``REPRO_NOISY_ENGINE`` environment knob; the
-    ``dm`` default consumes the backend RNG exactly like the historic
-    path, so fixed-seed results stay bit-identical. ``trajectories``
-    sizes the ``traj`` ensemble (default ``REPRO_TRAJECTORIES`` or 512).
+    Sampling consumes the backend RNG exactly like the historic
+    per-instruction path, so fixed-seed results stay bit-identical.
     """
 
     def __init__(
@@ -121,8 +90,6 @@ class CountsBackend:
         seed: SeedLike = None,
         device=None,
         layout_method: str = "chain",
-        engine: Optional[str] = None,
-        trajectories: Optional[int] = None,
     ):
         self.noise_model = noise_model
         self.readout_error = readout_error
@@ -134,34 +101,13 @@ class CountsBackend:
         self.rng = ensure_rng(seed)
         self.device = device
         self.layout_method = layout_method
-        if engine is not None and engine not in ("dm", "traj"):
-            raise ValueError(f"unknown noisy engine {engine!r}")
-        self._engine = engine
-        self._trajectories = trajectories
         # Named so each LRU reports its own cache.counts.* metric family.
         self._lowerings = _instance_cache("counts.lowerings")
         self._noise_plans = _instance_cache("counts.noise_plans")
         self._group_plans = _instance_cache("counts.group_plans")
         self._measured_circuits = _instance_cache("counts.measured")
 
-    # -- engine / cache plumbing ----------------------------------------------
-
-    @property
-    def engine(self) -> str:
-        """The active noisy-execution route (``dm`` or ``traj``)."""
-        engine = self._engine if self._engine is not None else noisy_engine_default()
-        if engine not in ("dm", "traj"):
-            raise ValueError(
-                f"REPRO_NOISY_ENGINE={engine!r} is not one of 'dm', 'traj'"
-            )
-        return engine
-
-    @property
-    def trajectories(self) -> int:
-        """Trajectory-ensemble size used by the ``traj`` engine."""
-        if self._trajectories is not None:
-            return max(1, int(self._trajectories))
-        return default_trajectories()
+    # -- cache plumbing --------------------------------------------------------
 
     def _circuit_key(self, circuit: QuantumCircuit) -> str:
         """Content hash identifying a bound circuit on this backend."""
@@ -205,20 +151,14 @@ class CountsBackend:
 
         Each logical qubit ``v`` ends the (trimmed, routed) circuit at
         ``compiled.logical_positions[v]``; every other live qubit is
-        traced out. Accepts a single distribution or a ``(B, 2**m)``
-        batch of per-trajectory rows (leading axes are preserved).
+        traced out.
         """
-        num_physical = int(np.log2(probs.shape[-1]))
+        num_physical = int(np.log2(probs.size))
         positions = list(compiled.logical_positions[:num_logical])
-        lead = probs.shape[:-1]
-        offset = len(lead)
-        tensor = probs.reshape(lead + (2,) * num_physical)
         tensor = np.moveaxis(
-            tensor,
-            [offset + p for p in positions],
-            range(offset, offset + num_logical),
+            probs.reshape((2,) * num_physical), positions, range(num_logical)
         )
-        return tensor.reshape(lead + (2**num_logical, -1)).sum(axis=-1)
+        return tensor.reshape(2**num_logical, -1).sum(axis=-1)
 
     # -- execution -------------------------------------------------------------
 
@@ -250,41 +190,12 @@ class CountsBackend:
             rho = simulator.run_noise_plan(self._noise_plan(target, key))
         return simulator.probabilities(rho)
 
-    def _trajectory_rows(
-        self,
-        target: QuantumCircuit,
-        compiled: Optional[DeviceCompilation],
-        key: str,
-        num_logical: int,
-    ) -> np.ndarray:
-        """Per-trajectory outcome rows ``(B, 2**n)`` in logical order."""
-        simulator = TrajectorySimulator(target.num_qubits)
-        if self.noise_model is None:
-            plan = compile_noise_plan(target, NoiseModel.ideal())
-        else:
-            plan = self._noise_plan(target, key)
-        # A channel-free plan has one deterministic trajectory: running
-        # the ensemble would produce B identical rows.
-        batch = 1 if plan.num_channels == 0 else self.trajectories
-        rows = simulator.trajectory_probabilities(plan, batch, rng=self.rng)
-        if compiled is not None:
-            rows = self._logical_probabilities(rows, compiled, num_logical)
-        if self.readout_error is not None:
-            rows = rows @ self.readout_error.confusion_matrix().T
-        return rows
-
     def probabilities(self, circuit: QuantumCircuit) -> np.ndarray:
         """Noisy outcome distribution of a bound circuit (logical order).
 
-        On the ``dm`` engine this is the exact density-matrix diagonal;
-        on ``traj`` it is the trajectory-ensemble estimate (stochastic,
-        consuming the backend RNG).
+        The exact density-matrix diagonal, with readout error applied.
         """
         target, compiled, key = self._execution_target(circuit)
-        if self.engine == "traj":
-            return self._trajectory_rows(
-                target, compiled, key, circuit.num_qubits
-            ).mean(axis=0)
         probs = self._dm_probabilities(target, compiled, key)
         if compiled is not None:
             probs = self._logical_probabilities(
@@ -298,12 +209,6 @@ class CountsBackend:
         """Sample counts from a bound circuit."""
         if shots < 1:
             raise ValueError("shots must be >= 1")
-        if self.engine == "traj":
-            target, compiled, key = self._execution_target(circuit)
-            rows = self._trajectory_rows(
-                target, compiled, key, circuit.num_qubits
-            )
-            return counts_from_trajectory_rows(rows, shots, self.rng)
         probs = self.probabilities(circuit)
         return counts_from_probabilities(probs, shots, self.rng)
 

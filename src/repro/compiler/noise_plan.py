@@ -85,18 +85,15 @@ class ChannelOp:
 
     ``kraus`` has shape ``(K, 2**k, 2**k)`` for ``k = len(qubits)``;
     ``superop`` is the pre-compiled ``(4**k, 4**k)`` superoperator the
-    density-matrix simulator applies as a single tensordot, and
-    ``probes`` the stacked ``K_m^dagger K_m`` effect operators the
-    trajectory engine contracts for branch probabilities — both are
-    plan-constant, so they compile once per site. ``matrix`` is always
+    density-matrix simulator applies as a single tensordot — it is
+    plan-constant, so it compiles once per site. ``matrix`` is always
     ``None`` — it exists so the fusion pass (which treats matrix-less
     ops as barriers on their qubits) and the execution loops can handle
     :class:`PlanOp` and :class:`ChannelOp` uniformly.
 
-    ``superop_class`` / ``kraus_classes`` are the kernel classes of the
-    superoperator and of each Kraus operator (see
+    ``superop_class`` is the superoperator's kernel class (see
     :func:`~repro.compiler.ir.kernel_class_of_matrix`), derived once at
-    construction so the simulators dispatch per site without matrix
+    construction so the simulator dispatches per site without matrix
     inspection — a pure-dephasing site, for example, has a diagonal
     superoperator and rides the elementwise fast path.
     """
@@ -104,29 +101,15 @@ class ChannelOp:
     qubits: Tuple[int, ...]
     kraus: np.ndarray
     superop: np.ndarray = field(default=None)
-    probes: np.ndarray = field(default=None)
     matrix: None = field(default=None, init=False)
     superop_class: str = field(default=None)
-    kraus_classes: Tuple[str, ...] = field(default=None)
 
     def __post_init__(self):
         if self.superop is None:
             object.__setattr__(self, "superop", kraus_superoperator(self.kraus))
-        if self.probes is None:
-            object.__setattr__(
-                self,
-                "probes",
-                np.matmul(self.kraus.conj().transpose(0, 2, 1), self.kraus),
-            )
         if self.superop_class is None:
             object.__setattr__(
                 self, "superop_class", kernel_class_of_matrix(self.superop)
-            )
-        if self.kraus_classes is None:
-            object.__setattr__(
-                self,
-                "kraus_classes",
-                tuple(kernel_class_of_matrix(k) for k in self.kraus),
             )
 
     @property

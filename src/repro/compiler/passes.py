@@ -431,10 +431,10 @@ class VerifyPlan(Pass):
 
 
 def verification_enabled() -> bool:
-    """Whether pipelines append :class:`VerifyPlan` (``REPRO_VERIFY=1``).
+    """Whether plans are verified at build time (``REPRO_VERIFY=1``).
 
-    Kept in sync with :func:`repro.analysis.verify.verification_enabled`
-    without importing the analysis package at pipeline-construction time.
+    Pipelines append :class:`VerifyPlan`, and noise plans run the same
+    verifiers; :mod:`repro.analysis` re-exports this function.
     """
     value = os.environ.get("REPRO_VERIFY", "").strip().lower()
     return value in ("1", "on", "true", "yes")

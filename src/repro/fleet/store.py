@@ -24,9 +24,10 @@ flipping the row's status (so a crash between the two leaves a
 re-runnable ``running`` row whose re-execution dedupes against the
 stored payload), and ``mark_done``/``mark_failed`` are idempotent so a
 resumed drain and a straggling worker cannot corrupt each other's
-state. Several stores may open the same database file: inserts tolerate
-a concurrent writer's row. Named fault sites (``jobstore.enqueue``,
-``jobstore.mark_running``, ``jobstore.mark_done``,
+state. Several stores may open the same database file: a transition
+holds the file's write lock from its status read to its commit, and
+inserts tolerate a concurrent writer's row. Named fault sites
+(``jobstore.enqueue``, ``jobstore.mark_running``, ``jobstore.mark_done``,
 ``jobstore.mark_done.commit``) let the chaos suite drive exactly these
 windows.
 """
@@ -185,7 +186,7 @@ class JobStore:
             # The payload commits on its own, ahead of the status: the
             # crash window the chaos suite drives (payload persisted,
             # status not yet committed).
-            conn.commit()
+            self.results.commit_and_relock()
             INJECTOR.fire("jobstore.mark_done.commit", run_id=run_id)
             self._transition(
                 run_id,

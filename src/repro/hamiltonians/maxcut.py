@@ -9,7 +9,6 @@ from __future__ import annotations
 from typing import Iterable
 
 import networkx as nx
-import numpy as np
 
 from repro.operators.pauli_sum import PauliSum
 from repro.utils.rng import ensure_rng

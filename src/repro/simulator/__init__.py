@@ -1,14 +1,12 @@
 """Quantum state simulation engines.
 
-Four engines are provided: a statevector simulator (pure states, fast
+Three engines are provided: a statevector simulator (pure states, fast
 path for VQE objective evaluation), its batched sibling (leading batch
-axis over parameter sets), a density-matrix simulator (mixed states,
+axis over parameter sets), and a density-matrix simulator (mixed states,
 Kraus noise channels compiled to per-site superoperators; validates the
-energy-level noise approximations of the transient backend), and a
-batched quantum-trajectory simulator (stochastic channel unraveling over
-an ensemble of pure states, sharing the batched gate kernels).
+energy-level noise approximations of the transient backend).
 
-All four route gate application through :mod:`repro.simulator.kernels`:
+All three route gate application through :mod:`repro.simulator.kernels`:
 bit-indexed in-place kernels, with the reshape + ``tensordot`` reference
 (:func:`apply_gate_tensordot`) as the route for small states. The two
 statevector engines run plans of at most 7 qubits as a precompiled
@@ -23,10 +21,8 @@ from repro.simulator.batched import (
     simulate_statevectors,
 )
 from repro.simulator.density_matrix import DensityMatrixSimulator
-from repro.simulator.trajectory import TrajectorySimulator, unravel_channel_batched
 from repro.simulator.sampling import (
     counts_from_probabilities,
-    counts_from_trajectory_rows,
     sample_counts,
     sample_plan,
 )
@@ -44,10 +40,7 @@ __all__ = [
     "BatchedStatevectorSimulator",
     "simulate_statevectors",
     "DensityMatrixSimulator",
-    "TrajectorySimulator",
-    "unravel_channel_batched",
     "counts_from_probabilities",
-    "counts_from_trajectory_rows",
     "sample_counts",
     "sample_plan",
     "expectation_from_counts",

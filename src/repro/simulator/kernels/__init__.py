@@ -1,6 +1,6 @@
 """Gate-application kernel dispatch for every simulation engine.
 
-The four simulators (serial / batched statevector, trajectory, and the
+The three simulators (serial / batched statevector and the
 density-matrix left/right multiplications) route gate application
 through :func:`apply_gate` / :func:`apply_gates_elementwise` here.
 Dispatch is a table lookup on the op's pre-lowered *kernel class*

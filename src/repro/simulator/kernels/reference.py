@@ -1,16 +1,15 @@
 """The tensordot reference kernels.
 
 One shared implementation of the historic reshape + ``tensordot`` +
-axis-restore gate application that ``statevector.py``, ``batched.py``
-and ``trajectory.py`` each used to carry a near-identical copy of.  The
-``batch_axes`` parameter generalizes over their layouts:
+axis-restore gate application that ``statevector.py`` and ``batched.py``
+each used to carry a near-identical copy of.  The ``batch_axes``
+parameter generalizes over their layouts:
 
 * ``batch_axes=0`` — a rank-``n`` state tensor ``(2,) * n`` (the serial
   statevector layout; also the density matrix viewed as a ``2n``-qubit
   state for left/right multiplications);
 * ``batch_axes=1`` — a leading batch axis, ``(B,) + (2,) * n`` (the
-  batched and trajectory layouts, where qubit ``q`` lives on tensor
-  axis ``q + 1``).
+  batched layout, where qubit ``q`` lives on tensor axis ``q + 1``).
 
 The dispatcher routes states below ``PAIR_MIN_STATE_SIZE`` (and
 non-contiguous dense operators) through these functions, and the tests

@@ -40,45 +40,6 @@ def counts_from_probabilities(
     }
 
 
-def counts_from_trajectory_rows(
-    rows: np.ndarray, shots: int, seed: SeedLike = None
-) -> Dict[str, int]:
-    """Shots-batched sampling across per-trajectory distributions.
-
-    ``rows`` is a ``(B, 2**n)`` stack of outcome distributions (one per
-    quantum trajectory). Shots spread as evenly as possible over the
-    rows and every row's multinomial is drawn in ONE vectorized call —
-    each shot is a sample from one trajectory, which is the faithful
-    unraveling of a channel ensemble.
-    """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError("trajectory rows must be a (B, 2**n) array")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    num_qubits = int(np.log2(rows.shape[1]))
-    if 2**num_qubits != rows.shape[1]:
-        raise ValueError("distribution length must be a power of two")
-    rows = np.clip(rows, 0.0, None)
-    totals = rows.sum(axis=1, keepdims=True)
-    if np.any(totals <= 0):
-        raise ValueError("a trajectory row sums to zero")
-    rows = rows / totals
-    batch = rows.shape[0]
-    base, extra = divmod(shots, batch)
-    per_row = np.full(batch, base, dtype=np.int64)
-    per_row[:extra] += 1
-    live = per_row > 0
-    rng = ensure_rng(seed)
-    draws = rng.multinomial(per_row[live], rows[live])
-    counts = draws.sum(axis=0)
-    return {
-        _bitstring(i, num_qubits): int(count)
-        for i, count in enumerate(counts)
-        if count > 0
-    }
-
-
 def sample_counts(
     state_or_probs: np.ndarray, shots: int, seed: SeedLike = None
 ) -> Dict[str, int]:

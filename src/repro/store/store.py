@@ -34,7 +34,6 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 from repro.faults.inject import INJECTOR
 from repro.obs import METRICS, TRACER
 from repro.runtime.results import RunResult
-from repro.runtime.spec import RunSpec
 from repro.store.query import RunQuery, StoredRun
 from repro.store.schema import SCHEMA_VERSION, ensure_schema, payload_hash
 from repro.utils.serialization import canonical_json
@@ -103,15 +102,19 @@ class ExperimentStore:
     def transaction(self) -> Iterator[sqlite3.Connection]:
         """The connection, under the store's lock, as one write transaction.
 
-        The outermost block commits once when it exits and rolls back if
-        it raises, so a failed write is never left pending for the next
-        commit, nor holds the file's write lock against other
-        connections. Nested blocks (a job transition's journal event)
-        join the open transaction.
+        The outermost block takes the file's write lock as it opens
+        (``BEGIN IMMEDIATE``), so no other connection can commit between
+        a read in the block and a write that depends on it. It commits
+        once when it exits and rolls back if it raises, so a failed write
+        is never left pending for the next commit, nor holds the write
+        lock against other connections. Nested blocks (a job
+        transition's journal event) join the open transaction.
         """
         with self._lock:
             self._depth += 1
             try:
+                if self._depth == 1:
+                    self._begin()
                 yield self._conn
                 if self._depth == 1:
                     self._conn.commit()
@@ -121,6 +124,16 @@ class ExperimentStore:
                 raise
             finally:
                 self._depth -= 1
+
+    def commit_and_relock(self) -> None:
+        """Commit the open transaction's writes, then take the write lock
+        again, for a :meth:`transaction` block that must persist part of
+        its work before it goes on."""
+        self._conn.commit()
+        self._begin()
+
+    def _begin(self) -> None:
+        self._conn.execute("BEGIN IMMEDIATE")
 
     def append(
         self,

@@ -264,14 +264,6 @@ def test_rpr007_superoperator_mismatch():
     assert "RPR007" in codes(report)
 
 
-def test_rpr007_probe_mismatch():
-    op = ChannelOp((0,), np.stack(channels.bit_flip_kraus(0.2)))
-    object.__setattr__(op, "probes", np.stack([np.eye(2), np.eye(2)]))
-    report = AnalysisReport()
-    verify_kraus_site(op, "site", report)
-    assert "RPR007" in codes(report)
-
-
 def test_rpr003_kraus_shape_mismatch():
     op = ChannelOp((0, 1), np.stack(channels.bit_flip_kraus(0.2)))
     report = AnalysisReport()

@@ -44,5 +44,6 @@ def test_benchmark_environment_resolves_one_path():
     resolved = json.loads(completed.stdout.strip().splitlines()[-1])
     assert set(resolved) == RESOLVED_KEYS
     assert resolved["kernel_engine"] == "pair"
+    assert resolved["noisy_engine"] == "dm"
     assert resolved["fusion"] is True
     assert resolved["batching"] is True

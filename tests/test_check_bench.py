@@ -143,8 +143,8 @@ def test_retry_overhead_first_appearance_tolerant(tmp_path):
 
 def test_max_retry_overhead_flag(tmp_path):
     base = _with_retry_overhead(_payload(BASE), 2.0)
-    current = _with_retry_overhead(_payload(BASE), 9.0)
-    assert _run(tmp_path, base, current) == 1  # default ceiling 8.0
+    current = _with_retry_overhead(_payload(BASE), 5.0)
+    assert _run(tmp_path, base, current) == 1  # default ceiling 4.0
     assert _run(tmp_path, base, current, "--max-retry-overhead", "12") == 0
 
 

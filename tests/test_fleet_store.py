@@ -1,7 +1,10 @@
 """Job store: lifecycle transitions, dedupe, persistence, telemetry rollup."""
 
+import threading
+
 import pytest
 
+import repro.fleet.store as fleet_store
 from repro.fleet.store import DONE, FAILED, QUEUED, RUNNING, JobStore
 from repro.runtime import RunSpec, SerialExecutor
 
@@ -141,6 +144,44 @@ def test_failed_transition_rolls_back_and_frees_the_file(tmp_path, monkeypatch):
         assert first.fetch(spec.run_id).status == QUEUED
         # The other store on the file can still write.
         assert second.enqueue(_spec(seed=4)).status == QUEUED
+
+
+def test_transition_holds_the_write_lock_from_status_read_to_write(
+    tmp_path, monkeypatch
+):
+    """Another store on the file finishes the job right after
+    ``mark_running`` reads its status. That commit must wait for the
+    transition's own, not slip in between and be overwritten: the row
+    ends ``done`` with a readable result, never back at ``running``."""
+    db = tmp_path / "fleet.db"
+    spec = _spec()
+    result = _result(spec)
+    read_row = fleet_store._row
+    finishers, errors = [], []
+
+    def finish():
+        try:
+            second.mark_done(spec.run_id, result, tick=2)
+        except Exception as exc:  # noqa: BLE001 — collected for assert
+            errors.append(exc)
+
+    def racing_row(conn, run_id, columns):
+        row = read_row(conn, run_id, columns)
+        if not finishers:
+            finishers.append(threading.Thread(target=finish))
+            finishers[0].start()
+            # Long enough for an unblocked mark_done to commit.
+            finishers[0].join(timeout=1.0)
+        return row
+
+    with JobStore(db) as first, JobStore(db) as second:
+        first.enqueue(spec)
+        monkeypatch.setattr(fleet_store, "_row", racing_row)
+        first.mark_running(spec.run_id, "toronto", tick=1)
+        finishers[0].join(timeout=30)
+        assert not finishers[0].is_alive() and errors == []
+        assert first.fetch(spec.run_id).status == DONE
+        assert first.result(spec.run_id) == result
 
 
 def test_result_payload_delegated_to_experiment_store():

@@ -23,12 +23,6 @@ COUNTS_DM = {
     "1000": 237, "1001": 136, "1010": 145, "1011": 16,
     "1100": 255, "1101": 12, "1110": 28, "1111": 31,
 }
-COUNTS_TRAJ = {
-    "0000": 267, "0001": 262, "0010": 47, "0011": 121,
-    "0100": 418, "0101": 28, "0110": 81, "0111": 20,
-    "1000": 222, "1001": 136, "1010": 129, "1011": 17,
-    "1100": 239, "1101": 9, "1110": 21, "1111": 31,
-}
 ENERGY_COUNTS = -1.921875
 ENERGY_IDEAL = -2.120523915728114
 ENERGIES_BATCH = [-2.120523915728114, -4.777695361039817]
@@ -41,24 +35,12 @@ def _bound_circuit():
 
 
 def test_dm_counts_bit_identical():
-    backend = CountsBackend(
-        noise_model=NoiseModel(0.004, 0.03), seed=321, engine="dm"
-    )
+    backend = CountsBackend(noise_model=NoiseModel(0.004, 0.03), seed=321)
     assert backend.run(_bound_circuit(), shots=2048) == COUNTS_DM
 
 
-def test_trajectory_counts_bit_identical():
-    backend = CountsBackend(
-        noise_model=NoiseModel(0.004, 0.03), seed=321,
-        engine="traj", trajectories=128,
-    )
-    assert backend.run(_bound_circuit(), shots=2048) == COUNTS_TRAJ
-
-
 def test_counts_energy_pinned():
-    backend = CountsBackend(
-        noise_model=NoiseModel(0.004, 0.03), seed=55, engine="dm"
-    )
+    backend = CountsBackend(noise_model=NoiseModel(0.004, 0.03), seed=55)
     energy = backend.estimate_energy(
         _bound_circuit(), tfim_hamiltonian(4), shots_per_group=4096
     )

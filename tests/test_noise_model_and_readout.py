@@ -130,8 +130,7 @@ def test_fingerprint_stable_and_content_sensitive():
 def test_fingerprint_distinguishes_kraus_operator_order():
     """Cache-key soundness the plan verifier (RPR011) assumes: two models
     differing only in the *order* of their Kraus operators must not share
-    cached noise plans — the stacked arrays (and the trajectory engine's
-    branch draws) differ."""
+    cached noise plans — the stacked arrays differ."""
     plain = _PermutedKrausModel(0.01, 0.05)
     flipped = _PermutedKrausModel(0.01, 0.05, flip=True)
     assert plain.fingerprint() != flipped.fingerprint()

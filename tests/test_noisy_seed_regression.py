@@ -1,8 +1,8 @@
-"""Seed regression: the default noisy path is bit-identical to pre-plan main.
+"""Seed regression: the noisy path is bit-identical to pre-plan main.
 
 The expected values below were captured on the per-instruction Kraus-walk
 implementation (the state of ``main`` before the vectorized
-noisy-execution engine landed). The default ``dm`` engine must reproduce
+noisy-execution engine landed). The density-matrix engine must reproduce
 every sampled count and every counts-derived energy EXACTLY for fixed
 seeds — the RNG stream is consumed in the same order and the compiled
 noise plan perturbs outcome probabilities only at the reassociation
@@ -10,8 +10,7 @@ level (``<= 1e-12``, asserted separately), far below multinomial
 sampling sensitivity.
 
 Also hosts the counts-backend validation of the paper's
-global-depolarizing approximation, which CI runs under BOTH
-``REPRO_NOISY_ENGINE`` values.
+global-depolarizing approximation.
 """
 
 import numpy as np
@@ -60,9 +59,7 @@ def _bound_ansatz():
 
 
 def test_default_dm_counts_bit_identical_to_main():
-    backend = CountsBackend(
-        noise_model=NoiseModel(**NOISE), seed=1234, engine="dm"
-    )
+    backend = CountsBackend(noise_model=NoiseModel(**NOISE), seed=1234)
     circuit = _bound_ansatz()
     assert backend.run(circuit, shots=2048) == COUNTS_PLAIN
     # The SECOND call continues the same RNG stream — both the stream
@@ -76,7 +73,6 @@ def test_default_dm_mitigated_energy_bit_identical_to_main():
         readout_error=ReadoutError.uniform(3, 0.02),
         mitigate_readout=True,
         seed=77,
-        engine="dm",
     )
     energy = backend.estimate_energy(
         _bound_ansatz(), tfim_hamiltonian(3), shots_per_group=4096
@@ -86,8 +82,7 @@ def test_default_dm_mitigated_energy_bit_identical_to_main():
 
 def test_default_dm_device_counts_bit_identical_to_main():
     backend = CountsBackend(
-        noise_model=NoiseModel(**NOISE), seed=42, device=line_map(5),
-        engine="dm",
+        noise_model=NoiseModel(**NOISE), seed=42, device=line_map(5)
     )
     assert backend.run(_bound_ansatz(), shots=1024) == COUNTS_DEVICE
 
@@ -96,13 +91,13 @@ def test_default_dm_rz_override_counts_bit_identical_to_main():
     """Fusion-rich workload (noiseless rz) still reproduces main's counts."""
     model = NoiseModel(**NOISE, gate_overrides={"rz": 0.0})
     circuit = random_circuit(3, 18, seed=5, two_qubit_fraction=0.3)
-    backend = CountsBackend(noise_model=model, seed=9, engine="dm")
+    backend = CountsBackend(noise_model=model, seed=9)
     assert backend.run(circuit, shots=4096) == COUNTS_RZFREE
 
 
 def test_dm_probabilities_match_main_to_reassociation():
     """Raw distributions agree to <= 1e-12 (fusion reassociates floats)."""
-    backend = CountsBackend(noise_model=NoiseModel(**NOISE), engine="dm")
+    backend = CountsBackend(noise_model=NoiseModel(**NOISE))
     probs = backend.probabilities(_bound_ansatz())
     np.testing.assert_allclose(probs, PROBS_PLAIN, atol=1e-12, rtol=0.0)
 
@@ -118,13 +113,7 @@ def test_dm_engine_matches_legacy_walk_exactly():
 
 
 def test_counts_backend_validates_global_depolarizing_approximation():
-    """The paper's lambda model vs the full shot-level pipeline.
-
-    Engine-agnostic: honors ``REPRO_NOISY_ENGINE``, so the CI matrix
-    exercises it under both the density-matrix and the trajectory
-    engine (the trajectory estimate carries extra sampling error, well
-    inside the validation tolerance at the default ensemble size).
-    """
+    """The paper's lambda model vs the full shot-level pipeline."""
     circuit = random_circuit(3, 12, seed=21, two_qubit_fraction=0.3)
     ham = tfim_hamiltonian(3)
     model = NoiseModel(0.002, 0.02)

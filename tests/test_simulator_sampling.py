@@ -3,7 +3,6 @@ import pytest
 
 from repro.simulator.sampling import (
     counts_from_probabilities,
-    counts_from_trajectory_rows,
     probabilities_from_counts,
     sample_counts,
 )
@@ -55,35 +54,3 @@ def test_probabilities_from_counts():
     assert probs["00"] == pytest.approx(0.75)
     with pytest.raises(ValueError):
         probabilities_from_counts({})
-
-
-def test_counts_from_trajectory_rows_preserves_shots_and_spreads():
-    rows = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-    counts = counts_from_trajectory_rows(rows, shots=301, seed=0)
-    assert sum(counts.values()) == 301
-    # rows 0/1 are deterministic and get >= 100 shots each
-    assert counts["0"] >= 100 and counts["1"] >= 100
-
-
-def test_counts_from_trajectory_rows_more_rows_than_shots():
-    rows = np.tile(np.array([[0.25, 0.75]]), (16, 1))
-    counts = counts_from_trajectory_rows(rows, shots=5, seed=1)
-    assert sum(counts.values()) == 5
-
-
-def test_counts_from_trajectory_rows_single_row_matches_multinomial():
-    probs = np.array([0.1, 0.2, 0.3, 0.4])
-    a = counts_from_trajectory_rows(probs[None, :], shots=1000, seed=3)
-    assert sum(a.values()) == 1000
-    assert set(a) <= {"00", "01", "10", "11"}
-
-
-def test_counts_from_trajectory_rows_validation():
-    with pytest.raises(ValueError):
-        counts_from_trajectory_rows(np.ones((2, 2)), shots=0)
-    with pytest.raises(ValueError):
-        counts_from_trajectory_rows(np.ones(4), shots=10)
-    with pytest.raises(ValueError):
-        counts_from_trajectory_rows(np.ones((2, 3)), shots=10)
-    with pytest.raises(ValueError):
-        counts_from_trajectory_rows(np.zeros((2, 2)), shots=10)

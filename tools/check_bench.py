@@ -200,7 +200,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--max-retry-overhead",
         type=float,
-        default=8.0,
+        default=4.0,
         help=(
             "ceiling for the faulty-drain vs. clean-drain overhead ratio "
             "(two injected retries per job must not multiply drain cost "
