@@ -152,7 +152,7 @@ def _traced_phases() -> Dict[str, object]:
     from repro.runtime.spec import RunSpec
 
     TRACER.reset()
-    TRACER.configure(enabled=True, kernel_stride=16)
+    TRACER.configure(enabled=True)
     try:
         execute_run(RunSpec(app="App1", scheme="baseline", iterations=5))
         report = build_report(tracer=TRACER)

@@ -19,8 +19,7 @@ gate loop is compile-once-bind-many — binding a parameter vector is one
 NumPy affine map, and repeated ``run_circuit`` / figure / fleet
 invocations hit the plan cache instead of recompiling.
 
-Knobs: ``REPRO_PLAN_CACHE=<n>`` sizes the LRU (0 disables caching);
-``REPRO_VERIFY=1`` appends the :class:`VerifyPlan` static-verification
+Knob: ``REPRO_VERIFY=1`` appends the :class:`VerifyPlan` static-verification
 pass (see :mod:`repro.analysis`) to every pipeline — always-on in tests.
 """
 

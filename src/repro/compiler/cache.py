@@ -1,4 +1,4 @@
-"""The shared plan cache and compile-time knobs.
+"""The shared plan cache and the content keys it is indexed by.
 
 The paper's workload is thousands of re-evaluations of the *same* ansatz,
 so compilation must happen once per circuit structure, not once per run.
@@ -7,17 +7,13 @@ content hash of the circuit (gate names, qubit operands, and either the
 literal float parameters or the positional affine map of symbolic ones)
 plus the pipeline configuration, and stores it in one process-wide LRU —
 shared by ``run_circuit``, the figure benchmarks, and the fleet's worker
-threads alike.
-
-Knob (see the README's consolidated ``REPRO_*`` table):
-``REPRO_PLAN_CACHE=<n>`` — LRU capacity (default 256; ``0`` disables
-caching entirely).
+threads alike. The LRU holds :data:`DEFAULT_PLAN_CACHE_CAPACITY`
+entries; ``compile_plan(..., cache=False)`` is the uncached route.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
@@ -43,27 +39,26 @@ def fusion_enabled() -> bool:
 
 
 def plan_cache_capacity() -> int:
-    """LRU capacity from ``REPRO_PLAN_CACHE`` (``<= 0`` disables caching)."""
-    value = os.environ.get("REPRO_PLAN_CACHE", "").strip()
-    if not value:
-        return DEFAULT_PLAN_CACHE_CAPACITY
-    try:
-        return int(value)
-    except ValueError:
-        return DEFAULT_PLAN_CACHE_CAPACITY
+    """Capacity of the shared plan cache: always the default.
+
+    Kept so run manifests can record the resolved setting.
+    """
+    return DEFAULT_PLAN_CACHE_CAPACITY
 
 
 class PlanCache:
     """A thread-safe content-hash-keyed LRU for compiled artifacts.
 
     Thread safety matters: the fleet runs one worker thread per device and
-    all of them compile through this one cache. The capacity is re-read
-    from the environment on every insert so tests (and operators) can
-    resize or disable it without rebuilding the singleton.
+    all of them compile through this one cache.
     """
 
-    def __init__(self, capacity: Optional[int] = None, name: Optional[str] = None):
-        self._fixed_capacity = capacity
+    def __init__(
+        self,
+        capacity: int = DEFAULT_PLAN_CACHE_CAPACITY,
+        name: Optional[str] = None,
+    ):
+        self.capacity = capacity
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
         self._lock = threading.Lock()
         #: Metric family for unprefixed keys.  The shared ``PLAN_CACHE``
@@ -81,12 +76,6 @@ class PlanCache:
             return head
         return self.name or "plan"
 
-    @property
-    def capacity(self) -> int:
-        if self._fixed_capacity is not None:
-            return self._fixed_capacity
-        return plan_cache_capacity()
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -98,7 +87,6 @@ class PlanCache:
         insert wins and both results are structurally identical (builds
         are pure functions of the key's content).
         """
-        capacity = self.capacity
         family = self._metric_family(key)
         try:
             INJECTOR.fire("cache.plan.get", run_id=key)
@@ -109,11 +97,6 @@ class PlanCache:
                 self.misses += 1
             METRICS.counter(f"cache.{family}.misses").inc()
             METRICS.counter(f"cache.{family}.faults").inc()
-            return build()
-        if capacity <= 0:
-            with self._lock:
-                self.misses += 1
-            METRICS.counter(f"cache.{family}.misses").inc()
             return build()
         with self._lock:
             if key in self._entries:
@@ -132,7 +115,7 @@ class PlanCache:
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
-            while len(self._entries) > capacity:
+            while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
                 evicted += 1

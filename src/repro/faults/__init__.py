@@ -25,7 +25,6 @@ from repro.faults.inject import (
 from repro.faults.plan import DEFAULT_LATENCY_S, KINDS, FaultPlan, FaultSpec
 from repro.faults.retry import (
     DEFAULT_RETRYABLE,
-    RETRY_BACKOFF_ENV,
     RETRY_MAX_ENV,
     RetryPolicy,
     call_with_retry,
@@ -43,7 +42,6 @@ __all__ = [
     "InjectedCrash",
     "InjectedFault",
     "KINDS",
-    "RETRY_BACKOFF_ENV",
     "RETRY_MAX_ENV",
     "RetryPolicy",
     "call_with_retry",

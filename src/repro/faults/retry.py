@@ -9,8 +9,8 @@ miss). Backoff is exponential with derived-RNG jitter
 never wall-clock or global-RNG based, so a retried run's tick schedule
 is part of the reproducible record.
 
-``REPRO_RETRY_MAX`` / ``REPRO_RETRY_BACKOFF`` override the defaults for
-env-constructed services (:meth:`RetryPolicy.from_env`).
+``REPRO_RETRY_MAX`` overrides the attempt budget of env-constructed
+services (:meth:`RetryPolicy.from_env`).
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from repro.faults.inject import InjectedCrash, InjectedFault
 from repro.obs import METRICS
 from repro.utils.rng import derive_rng
 
-#: Environment knobs (see the README's ``REPRO_*`` table).
+#: Environment knob (see the README's ``REPRO_*`` table).
 RETRY_MAX_ENV = "REPRO_RETRY_MAX"
-RETRY_BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
 
 #: Exception classes retried by default. Deliberately excludes plain
 #: ``RuntimeError``/``ValueError`` — a deterministic workload that raised
@@ -92,23 +91,16 @@ class RetryPolicy:
 
     @classmethod
     def from_env(cls, **overrides) -> "RetryPolicy":
-        """Build a policy from ``REPRO_RETRY_MAX``/``REPRO_RETRY_BACKOFF``.
+        """Build a policy whose attempt budget comes from ``REPRO_RETRY_MAX``.
 
-        Explicit ``overrides`` win over the environment; malformed env
-        values fall back to the defaults rather than failing startup.
+        Explicit ``overrides`` win over the environment; a malformed env
+        value falls back to the default rather than failing startup.
         """
         if "max_attempts" not in overrides:
             raw = os.environ.get(RETRY_MAX_ENV, "").strip()
             if raw:
                 try:
                     overrides["max_attempts"] = max(1, int(raw))
-                except ValueError:
-                    pass  # malformed knob: keep the default
-        if "backoff_base" not in overrides:
-            raw = os.environ.get(RETRY_BACKOFF_ENV, "").strip()
-            if raw:
-                try:
-                    overrides["backoff_base"] = max(0, int(raw))
                 except ValueError:
                     pass  # malformed knob: keep the default
         return cls(**overrides)

@@ -26,7 +26,10 @@ stored payload), and ``mark_done``/``mark_failed`` are idempotent so a
 resumed drain and a straggling worker cannot corrupt each other's
 state. Several stores may open the same database file: a transition
 holds the file's write lock from its status read to its commit, and
-inserts tolerate a concurrent writer's row. Named fault sites
+inserts tolerate a concurrent writer's row. Queries take only the
+store's own lock (:meth:`~repro.store.ExperimentStore.read`), so they
+return the committed state at once while another store holds the
+write lock. Named fault sites
 (``jobstore.enqueue``, ``jobstore.mark_running``, ``jobstore.mark_done``,
 ``jobstore.mark_done.commit``) let the chaos suite drive exactly these
 windows.
@@ -135,7 +138,7 @@ class JobStore:
             if inserted:
                 self.results.journal_append("enqueue", spec.run_id, tick=tick)
                 return JobRecord(spec.run_id, spec, QUEUED, submitted_tick=tick)
-            existing = _fetch(conn, spec.run_id)
+            existing = self.fetch(spec.run_id)
             if existing.status == DONE and self.results.get(spec.run_id) is None:
                 event = "heal"
             elif existing.status == FAILED:
@@ -151,7 +154,7 @@ class JobStore:
             self.results.journal_append(
                 event, spec.run_id, attempt=existing.attempts, tick=tick
             )
-            return _fetch(conn, spec.run_id)
+            return self.fetch(spec.run_id)
 
     def mark_running(self, run_id: str, device: str, tick: int) -> None:
         INJECTOR.fire("jobstore.mark_running", run_id=run_id)
@@ -303,11 +306,10 @@ class JobStore:
             return len(stranded)
 
     # -- queries ------------------------------------------------------------
-    # (read-only transaction() blocks hold the lock and commit nothing)
 
     def fetch(self, run_id: str) -> Optional[JobRecord]:
-        with self.results.transaction() as conn:
-            return _fetch(conn, run_id)
+        rows = self.results.read("SELECT * FROM jobs WHERE run_id=?", (run_id,))
+        return _record_from_row(rows[0]) if rows else None
 
     def result(self, run_id: str) -> Optional[RunResult]:
         """The stored ``RunResult`` of a done job (else ``None``)."""
@@ -323,12 +325,11 @@ class JobStore:
         if status is not None and status not in STATUSES:
             raise ValueError(f"unknown status {status!r}; known: {STATUSES}")
         where = "" if status is None else " WHERE status=?"
-        with self.results.transaction() as conn:
-            return conn.execute(
-                f"SELECT {columns} FROM jobs{where}"
-                " ORDER BY submitted_tick, run_id",
-                () if status is None else (status,),
-            ).fetchall()
+        return self.results.read(
+            f"SELECT {columns} FROM jobs{where}"
+            " ORDER BY submitted_tick, run_id",
+            () if status is None else (status,),
+        )
 
     def jobs(self, status: Optional[str] = None) -> List[JobRecord]:
         return [_record_from_row(row) for row in self._select("*", status)]
@@ -338,10 +339,9 @@ class JobStore:
         return [row["run_id"] for row in self._select("run_id", status)]
 
     def counts(self) -> Dict[str, int]:
-        with self.results.transaction() as conn:
-            rows = conn.execute(
-                "SELECT status, COUNT(*) AS n FROM jobs GROUP BY status"
-            ).fetchall()
+        rows = self.results.read(
+            "SELECT status, COUNT(*) AS n FROM jobs GROUP BY status"
+        )
         counts = {status: 0 for status in STATUSES}
         counts.update({row["status"]: row["n"] for row in rows})
         return counts
@@ -386,13 +386,10 @@ class JobStore:
 
     def telemetry(self) -> Dict[str, Any]:
         """The accumulated per-device rollup (plus total ticks)."""
-        with self.results.transaction() as conn:
-            rows = conn.execute(
-                "SELECT * FROM telemetry ORDER BY device"
-            ).fetchall()
-            ticks = conn.execute(
-                "SELECT value FROM store_meta WHERE key=?", (FLEET_TICKS_KEY,)
-            ).fetchone()
+        rows = self.results.read("SELECT * FROM telemetry ORDER BY device")
+        ticks = self.results.read(
+            "SELECT value FROM store_meta WHERE key=?", (FLEET_TICKS_KEY,)
+        )
         return {
             "devices": {
                 row["device"]: {
@@ -406,7 +403,7 @@ class JobStore:
                 }
                 for row in rows
             },
-            "ticks": int(ticks["value"]) if ticks is not None else 0,
+            "ticks": int(ticks[0]["value"]) if ticks else 0,
         }
 
 
@@ -417,11 +414,6 @@ def _row(conn: sqlite3.Connection, run_id: str, columns: str) -> sqlite3.Row:
     if row is None:
         raise KeyError(f"unknown job {run_id!r}")
     return row
-
-
-def _fetch(conn: sqlite3.Connection, run_id: str) -> Optional[JobRecord]:
-    row = conn.execute("SELECT * FROM jobs WHERE run_id=?", (run_id,)).fetchone()
-    return _record_from_row(row) if row is not None else None
 
 
 def _record_from_row(row: sqlite3.Row) -> JobRecord:

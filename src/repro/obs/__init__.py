@@ -3,8 +3,7 @@
 One substrate for every "where does the time go" question in the repo:
 
 - :mod:`repro.obs.trace` — context-managed span trees
-  (``REPRO_TRACE=1`` enables, ``REPRO_TRACE_SAMPLE`` rate-limits
-  kernel-site spans, near-zero overhead when disabled).
+  (``REPRO_TRACE=1`` enables, near-zero overhead when disabled).
 - :mod:`repro.obs.metrics` — always-on counters / gauges / histograms
   (cache scoreboards, fleet telemetry, kernel byte/flop totals).
 - :mod:`repro.obs.clock` — the only sanctioned reader of ``time``
@@ -31,7 +30,6 @@ from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.trace import (
     EXPORT_ENV,
     NOOP_SPAN,
-    SAMPLE_ENV,
     TRACE_ENV,
     TRACER,
     Span,
@@ -46,7 +44,6 @@ __all__ = [
     "Span",
     "NOOP_SPAN",
     "TRACE_ENV",
-    "SAMPLE_ENV",
     "EXPORT_ENV",
     "Stopwatch",
     "perf_counter",

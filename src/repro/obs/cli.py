@@ -70,8 +70,6 @@ def _open_store(path: Optional[str]):
 def cmd_trace(args: argparse.Namespace) -> int:
     TRACER.reset()
     TRACER.configure(enabled=True, export_path=args.out)
-    if args.sample is not None:
-        TRACER.configure(kernel_stride=args.sample)
     os.environ["REPRO_TRACE"] = "1"  # child processes inherit tracing
     sys.argv = [args.script] + list(args.script_args)
     try:
@@ -186,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("script_args", nargs="*", help="arguments for it")
     trace.add_argument("--out", default="trace.json",
                        help="Chrome trace output path")
-    trace.add_argument("--sample", type=int, default=None,
-                       help="kernel-site sampling stride (1 = keep all)")
     trace.set_defaults(func=cmd_trace)
 
     report = sub.add_parser("report", help="per-phase breakdown + caches")

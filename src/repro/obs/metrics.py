@@ -2,8 +2,9 @@
 
 Unlike tracing, metrics are always on: a counter bump is one lock
 acquisition and an int add, cheap enough for cache hit/miss accounting
-and fleet scheduling decisions.  Hot kernel loops still guard their
-bumps on ``TRACER.enabled`` so the per-gate path stays branch-only.
+and fleet scheduling decisions.  The kernel dispatcher bumps its
+``kernel.<class>.calls``/``.bytes`` counters on every gate, traced or
+not (a layered small-state program bumps them once per execution).
 
 The process-wide registry is :data:`METRICS`.  Subsystems that need an
 isolated namespace (e.g. per-service fleet telemetry) instantiate their

@@ -8,19 +8,16 @@ registering roots) go through one tracer lock so worker threads can
 attach under a job span owned by another thread (see
 :meth:`Tracer.attach`).
 
-Tracing is off by default.  ``REPRO_TRACE=1`` enables it,
-``REPRO_TRACE_SAMPLE=N`` keeps every Nth kernel-site span (the only
-span family hot enough to need rate limiting; ``1`` keeps all, ``0``
-drops all), and ``REPRO_TRACE_EXPORT=path`` writes a Chrome trace at
-process exit.  When disabled, ``Tracer.span()`` returns a shared no-op
-context manager and the hot-loop guard is a single attribute read
-(``TRACER.enabled``), so instrumented kernels stay within noise of
-uninstrumented ones.
+Tracing is off by default.  ``REPRO_TRACE=1`` enables it and
+``REPRO_TRACE_EXPORT=path`` writes a Chrome trace at process exit.
+Spans sit at run, compile, plan-execution and store boundaries, never
+per gate: the simulators' ``sim.*.run_plan`` spans carry the ``kernel``
+category.  When disabled, ``Tracer.span()`` returns a shared no-op
+context manager.
 
 Determinism contract: spans never touch content hashes, RNG streams or
-stored result payloads.  Sampling uses a per-thread counter, never an
-RNG, so a traced run consumes exactly the same random numbers as an
-untraced one.
+stored result payloads, so a traced run consumes exactly the same
+random numbers as an untraced one.
 """
 
 from __future__ import annotations
@@ -33,14 +30,7 @@ from typing import Any, Dict, Iterator, List, Optional
 from repro.obs import clock
 
 TRACE_ENV = "REPRO_TRACE"
-SAMPLE_ENV = "REPRO_TRACE_SAMPLE"
 EXPORT_ENV = "REPRO_TRACE_EXPORT"
-
-#: Default kernel-site sampling stride when tracing is on and
-#: ``REPRO_TRACE_SAMPLE`` is unset: keep one site span in 64.  Keeps a
-#: 120-iteration VQE trace in the tens of thousands of events instead
-#: of millions while still feeding the roofline with real samples.
-DEFAULT_KERNEL_STRIDE = 64
 
 
 class Span:
@@ -130,8 +120,9 @@ NOOP_SPAN = _NoopSpan()
 class Tracer:
     """Process-wide span collector.
 
-    ``enabled`` is a plain attribute so hot loops can guard on it with
-    one read; everything structural happens under ``_lock``.
+    ``enabled`` is a plain attribute, so work done only for a trace (the
+    compile pipeline's per-pass gate counts) guards on it with one read;
+    everything structural happens under ``_lock``.
     """
 
     def __init__(self) -> None:
@@ -139,7 +130,6 @@ class Tracer:
         self._local = threading.local()
         self.roots: List[Span] = []
         self.enabled = False
-        self.kernel_stride = DEFAULT_KERNEL_STRIDE
         self.export_path: Optional[str] = None
         self._refresh_from_env()
 
@@ -148,33 +138,15 @@ class Tracer:
     def _refresh_from_env(self) -> None:
         self.enabled = os.environ.get(TRACE_ENV, "") == "1"
         self.export_path = os.environ.get(EXPORT_ENV) or None
-        raw = os.environ.get(SAMPLE_ENV, "")
-        if raw:
-            try:
-                value = float(raw)
-            except ValueError:
-                value = float(DEFAULT_KERNEL_STRIDE)
-            if value <= 0:
-                self.kernel_stride = 0
-            elif value < 1:
-                # A rate in (0, 1): keep roughly that fraction of sites.
-                self.kernel_stride = max(1, round(1.0 / value))
-            else:
-                self.kernel_stride = int(value)
-        else:
-            self.kernel_stride = DEFAULT_KERNEL_STRIDE
 
     def configure(
         self,
         enabled: Optional[bool] = None,
-        kernel_stride: Optional[int] = None,
         export_path: Optional[str] = None,
     ) -> None:
         """Override env-derived settings (tests and the CLI use this)."""
         if enabled is not None:
             self.enabled = enabled
-        if kernel_stride is not None:
-            self.kernel_stride = kernel_stride
         if export_path is not None:
             self.export_path = export_path
 
@@ -199,26 +171,6 @@ class Tracer:
         if not self.enabled:
             return NOOP_SPAN
         return Span(self, name, category, attrs)
-
-    def kernel_span(self, name: str, **attrs: Any):
-        """A sampled per-site span for simulator inner loops.
-
-        Applies the ``REPRO_TRACE_SAMPLE`` stride with a per-thread
-        counter (deterministic, RNG-free): stride N keeps every Nth
-        site span on each thread.  Callers still guard the call itself
-        on ``TRACER.enabled`` so the disabled path costs one attribute
-        read.
-        """
-        if not self.enabled:
-            return NOOP_SPAN
-        stride = self.kernel_stride
-        if stride <= 0:
-            return NOOP_SPAN
-        count = getattr(self._local, "kernel_count", 0)
-        self._local.kernel_count = count + 1
-        if count % stride:
-            return NOOP_SPAN
-        return Span(self, name, "kernel", attrs)
 
     @contextmanager
     def attach(self, parent: Optional[Span]):
@@ -255,8 +207,8 @@ class Tracer:
         return spans
 
 
-#: Process-wide tracer.  Import sites read ``TRACER.enabled`` inline in
-#: hot loops; everything else goes through ``span()`` / ``attach()``.
+#: Process-wide tracer.  Instrumented code goes through ``span()`` /
+#: ``attach()``.
 TRACER = Tracer()
 
 # Only the process that created the tracer exports at exit.  Forked

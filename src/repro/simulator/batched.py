@@ -120,10 +120,7 @@ class BatchedStatevectorSimulator:
             for slot, name in enumerate(plan.slot_gate_names)
         ]
         with span:
-            return kernels.run_fused(
-                plan, matrices, states, batch_axes=1,
-                gate_span="kernel.batched.gate",
-            )
+            return kernels.run_fused(plan, matrices, states, batch_axes=1)
 
     def run_flat(
         self,

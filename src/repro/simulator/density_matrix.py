@@ -172,26 +172,15 @@ class DensityMatrixSimulator:
         rho = self._as_tensor(initial_state)
         matrices = plan.slot_matrices(plan.bind_angles(theta))
         scratch = np.empty_like(rho)
-        tracer = TRACER
-        traced = tracer.enabled
-        with tracer.span(
+        with TRACER.span(
             "sim.density_matrix.run_plan", category="kernel",
             ops=len(plan.ops), state_size=4**plan.num_qubits,
         ):
             for op in plan.ops:
                 matrix = op.matrix if op.matrix is not None else matrices[op.slot]
-                if not traced:
-                    rho, scratch = self._apply_unitary_pair(
-                        rho, matrix, op.qubits, op.kernel_class, scratch
-                    )
-                    continue
-                with tracer.kernel_span(
-                    "kernel.dm.unitary", sites=len(op.qubits),
-                    state_size=rho.size,
-                ):
-                    rho, scratch = self._apply_unitary_pair(
-                        rho, matrix, op.qubits, op.kernel_class, scratch
-                    )
+                rho, scratch = self._apply_unitary_pair(
+                    rho, matrix, op.qubits, op.kernel_class, scratch
+                )
         return rho
 
     def run_noise_plan(
@@ -211,8 +200,6 @@ class DensityMatrixSimulator:
             raise ValueError("plan qubit count mismatch")
         rho = self._as_tensor(initial_state)
         scratch = np.empty_like(rho)
-        tracer = TRACER
-        traced = tracer.enabled
 
         def superop_site(op) -> None:
             nonlocal rho, scratch
@@ -239,20 +226,12 @@ class DensityMatrixSimulator:
             else:
                 superop_site(op)
 
-        with tracer.span(
+        with TRACER.span(
             "sim.density_matrix.run_noise_plan", category="kernel",
             ops=len(plan.ops), state_size=4**plan.num_qubits,
         ):
             for op in plan.ops:
-                if not traced:
-                    step(op)
-                    continue
-                with tracer.kernel_span(
-                    "kernel.dm.unitary" if op.matrix is not None
-                    else "kernel.dm.superop",
-                    sites=len(op.qubits), state_size=rho.size,
-                ):
-                    step(op)
+                step(op)
         return rho
 
     def run_circuit(

@@ -45,14 +45,7 @@ from repro.compiler.ir import (
     GatePlan,
     kernel_class_of_matrix,
 )
-from repro.obs import TRACER
 from repro.obs.metrics import METRICS
-from repro.simulator.kernels.engine import (
-    CHUNK_ENV,
-    THREADS_ENV,
-    kernel_chunk,
-    kernel_threads,
-)
 from repro.simulator.kernels.pair import (
     ELEMENTWISE_MIN_SIZE,
     apply_dense_elementwise,
@@ -70,22 +63,18 @@ from repro.simulator.kernels.reference import (
 )
 
 __all__ = [
-    "CHUNK_ENV",
     "FusionWindow",
     "KERNEL_CLASSES",
     "MAX_FUSED_SPAN",
     "PassthroughWindow",
     "PendingOneQubitGates",
     "fusion_window",
-    "THREADS_ENV",
     "absorb_pending_2q",
     "apply_gate",
     "apply_gate_tensordot",
     "apply_gates_elementwise",
     "apply_gates_elementwise_reference",
     "flush_pending_paired",
-    "kernel_chunk",
-    "kernel_threads",
     "kron_1q",
     "run_fused",
 ]
@@ -179,13 +168,7 @@ def apply_gate(
             return state
         out = scratch if scratch is not None else np.empty_like(state)
         apply_dense_shared(
-            state.reshape(-1),
-            out.reshape(-1),
-            sorted_matrix,
-            sorted_qubits,
-            n,
-            kernel_chunk(),
-            kernel_threads(),
+            state.reshape(-1), out.reshape(-1), sorted_matrix, sorted_qubits, n
         )
         _bump(kernel_class, 2 * nbytes)
         return out
@@ -262,15 +245,7 @@ def apply_gates_elementwise(
             )
             qubits = tuple(qubits[i] for i in order)
         out = scratch if scratch is not None else np.empty_like(states)
-        apply_dense_elementwise(
-            states,
-            out,
-            matrices,
-            qubits,
-            n,
-            kernel_chunk(),
-            kernel_threads(),
-        )
+        apply_dense_elementwise(states, out, matrices, qubits, n)
         _bump(kernel_class, 2 * nbytes)
         return out
     _bump(kernel_class, 4 * nbytes)
@@ -527,7 +502,6 @@ def run_fused(
     slot_matrices: Sequence[np.ndarray],
     state: np.ndarray,
     batch_axes: int = 0,
-    gate_span: str = "kernel.sv.gate",
 ) -> np.ndarray:
     """Execute a gate plan on a state (or state batch) with run-loop fusion.
 
@@ -545,15 +519,12 @@ def run_fused(
     ``slot_matrices[slot]`` is a parameterized op's matrix — shared
     ``(2**k, 2**k)``, or a per-element ``(B, 2**k, 2**k)`` stack when
     ``state`` carries ``batch_axes=1`` leading batch axis.  Matrices
-    apply through the dispatcher with a ping-pong scratch buffer; each
-    application is a sampled ``gate_span`` kernel span when tracing.
+    apply through the dispatcher with a ping-pong scratch buffer.
     """
     scratch = np.empty_like(state)
     pending = PendingOneQubitGates(plan.num_qubits)
-    tracer = TRACER
-    traced = tracer.enabled
 
-    def dispatch(matrix, qubits, kernel_class):
+    def apply(matrix, qubits, kernel_class):
         nonlocal state, scratch
         if matrix.ndim == 3:
             out = apply_gates_elementwise(
@@ -567,15 +538,6 @@ def run_fused(
             )
         if out is not state:
             state, scratch = out, state
-
-    def apply(matrix, qubits, kernel_class):
-        if traced:
-            with tracer.kernel_span(
-                gate_span, sites=len(qubits), state_size=state.size
-            ):
-                dispatch(matrix, qubits, kernel_class)
-        else:
-            dispatch(matrix, qubits, kernel_class)
 
     window = fusion_window(apply, state.size)
     for op in plan.ops:

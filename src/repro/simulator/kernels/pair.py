@@ -25,11 +25,10 @@ Four kernel families, chosen per op by its pre-lowered kernel class
 * **dense non-adjacent 2q** — blockwise accumulation through the
   four-block views (no transpose; zero matrix entries skipped).
 
-Chunking (``REPRO_KERNEL_CHUNK``) tiles the dense GEMMs over disjoint
-row (or column) ranges so 20+-qubit updates stay cache-resident, and
-``REPRO_KERNEL_THREADS`` fans those tiles over a worker pool; tiles are
-elementwise-disjoint, so chunked and threaded results are bit-identical
-to the unchunked serial ones.
+Chunking (:data:`KERNEL_CHUNK`) tiles the dense GEMMs over disjoint
+row (or column) ranges so 20+-qubit updates stay cache-resident; tiles
+are elementwise-disjoint, so chunked results are bit-identical to
+unchunked ones.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ from __future__ import annotations
 from typing import Callable, List, Tuple
 
 import numpy as np
-
-from repro.simulator.kernels.engine import get_executor
 
 #: Below this qubit stride, per-GEMM dispatch overhead on the ``(R, 2, s)``
 #: views dominates and the kron-merged wide GEMM wins (measured
@@ -52,6 +49,10 @@ ELEMENTWISE_MIN_SIZE = 1 << 14
 #: broadcast ``matmul`` over the whole batch instead of the per-element
 #: loop (measured crossover against the per-element stride strategies).
 BROADCAST_MIN_STRIDE = 32
+#: Tile size of the chunked dense GEMMs, in state elements (complex128
+#: => 1 MiB tiles, which keep 20+-qubit updates cache-resident).
+#: Smaller states run as one tile.
+KERNEL_CHUNK = 65536
 
 
 def sort_operator(
@@ -121,24 +122,11 @@ def _block(view: np.ndarray, index: int, k: int) -> np.ndarray:
 
 
 def _for_each_tile(
-    total: int, per_tile: int, threads: int, body: Callable[[int, int], None]
+    total: int, per_tile: int, body: Callable[[int, int], None]
 ) -> None:
-    """Run ``body(start, stop)`` over disjoint tiles, optionally threaded."""
-    if per_tile >= total:
-        body(0, total)
-        return
-    starts = range(0, total, per_tile)
-    if threads <= 1:
-        for start in starts:
-            body(start, min(start + per_tile, total))
-        return
-    executor = get_executor(threads)
-    futures = [
-        executor.submit(body, start, min(start + per_tile, total))
-        for start in starts
-    ]
-    for future in futures:
-        future.result()
+    """Run ``body(start, stop)`` over disjoint tiles of ``range(total)``."""
+    for start in range(0, total, per_tile):
+        body(start, min(start + per_tile, total))
 
 
 def _dense_gemm(
@@ -149,7 +137,6 @@ def _dense_gemm(
     stride: int,
     min_stride: int,
     chunk: int,
-    threads: int,
 ) -> None:
     """Shared dense update on the ``(R, dim, stride)`` strided views."""
     if stride >= min_stride:
@@ -165,14 +152,14 @@ def _dense_gemm(
                     matrix, view[0, :, start:stop], out=dest[0, :, start:stop]
                 )
 
-            _for_each_tile(stride, per_tile, threads, body_cols)
+            _for_each_tile(stride, per_tile, body_cols)
             return
         per_tile = max(1, chunk // (dim * stride))
 
         def body_rows(start: int, stop: int) -> None:
             np.matmul(matrix, view[start:stop], out=dest[start:stop])
 
-        _for_each_tile(rows, per_tile, threads, body_rows)
+        _for_each_tile(rows, per_tile, body_rows)
         return
     # Small strides: merge the stride identity into the gate and contract
     # whole rows of dim * stride amplitudes in one wide GEMM.
@@ -184,7 +171,7 @@ def _dense_gemm(
     def body_wide(start: int, stop: int) -> None:
         np.matmul(view2[start:stop], wide, out=dest2[start:stop])
 
-    _for_each_tile(view2.shape[0], per_tile, threads, body_wide)
+    _for_each_tile(view2.shape[0], per_tile, body_wide)
 
 
 def _dense_blockwise(
@@ -222,21 +209,19 @@ def apply_dense_shared(
     matrix: np.ndarray,
     qubits: Tuple[int, ...],
     n: int,
-    chunk: int,
-    threads: int,
+    chunk: int = KERNEL_CHUNK,
 ) -> None:
     """Dense update into ``out``; ``qubits`` must be ascending.
 
     Contiguous qubit runs (any ``k``) GEMM directly on the
-    ``(R, 2**k, stride)`` views; non-adjacent multi-qubit operators
-    accumulate through bit-indexed blocks.
+    ``(R, 2**k, stride)`` views, in tiles of about ``chunk`` elements;
+    non-adjacent multi-qubit operators accumulate through bit-indexed
+    blocks.
     """
     k = len(qubits)
     if k == 1:
         stride = 1 << (n - 1 - qubits[0])
-        _dense_gemm(
-            flat, out, matrix, 2, stride, MATMUL_MIN_STRIDE_1Q, chunk, threads
-        )
+        _dense_gemm(flat, out, matrix, 2, stride, MATMUL_MIN_STRIDE_1Q, chunk)
         return
     if qubits[-1] - qubits[0] == k - 1:
         stride = 1 << (n - 1 - qubits[-1])
@@ -244,9 +229,7 @@ def apply_dense_shared(
         # kron-merged GEMM's FLOPs grow with dim * stride while the
         # direct path's per-GEMM dispatch overhead shrinks with dim.
         min_stride = max(1, MATMUL_MIN_STRIDE_1Q >> (k - 1))
-        _dense_gemm(
-            flat, out, matrix, 1 << k, stride, min_stride, chunk, threads
-        )
+        _dense_gemm(flat, out, matrix, 1 << k, stride, min_stride, chunk)
     else:
         _dense_blockwise(flat, out, matrix, qubits, n)
 
@@ -377,8 +360,6 @@ def apply_dense_elementwise(
     matrices: np.ndarray,
     qubits: Tuple[int, ...],
     n: int,
-    chunk: int,
-    threads: int,
 ) -> None:
     """Per-element dense update: one shared-kernel call per batch element.
 
@@ -409,11 +390,5 @@ def apply_dense_elementwise(
         return
     for b in range(states.shape[0]):
         apply_dense_shared(
-            states[b].reshape(-1),
-            out[b].reshape(-1),
-            matrices[b],
-            qubits,
-            n,
-            chunk,
-            threads,
+            states[b].reshape(-1), out[b].reshape(-1), matrices[b], qubits, n
         )

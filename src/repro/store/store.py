@@ -14,10 +14,12 @@ aggregates can additionally be *materialized* incrementally
 materialize only recomputes cells that received runs newer than the
 watermark.
 
-One connection serves every thread, guarded by a re-entrant lock, and
-every write goes through :meth:`transaction`. The fleet's ``JobStore``
-keeps its job table in the same file and runs each job transition, with
-its journal event, as one such transaction.
+One connection serves every thread, guarded by a re-entrant lock.
+Every write goes through :meth:`transaction`, which also takes the
+file's write lock; reads take the store's lock only (:meth:`read`), so
+they never wait on another connection's open transaction. The fleet's
+``JobStore`` keeps its job table in the same file and runs each job
+transition, with its journal event, as one such transaction.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import threading
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.faults.inject import INJECTOR
 from repro.obs import METRICS, TRACER
@@ -134,6 +136,16 @@ class ExperimentStore:
 
     def _begin(self) -> None:
         self._conn.execute("BEGIN IMMEDIATE")
+
+    def read(self, sql: str, params: Sequence[Any] = ()) -> List[sqlite3.Row]:
+        """All rows of one query, under the store's lock only.
+
+        No write lock is taken, so another connection's open transaction
+        does not block the read: it sees the last committed state (or,
+        inside this store's own :meth:`transaction`, that block's writes).
+        """
+        with self._lock:
+            return self._conn.execute(sql, params).fetchall()
 
     def append(
         self,
@@ -258,15 +270,14 @@ class ExperimentStore:
         its row. Rows whose payload fails the content-address check are
         dropped, mirroring :meth:`query_runs`.
         """
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT traces.trace_id, traces.label, traces.created_at,"
-                " traces.payload_hash, blobs.data AS payload"
-                " FROM traces LEFT JOIN blobs"
-                " ON blobs.hash = traces.payload_hash"
-                " ORDER BY traces.trace_id DESC LIMIT ?",
-                (int(limit),),
-            ).fetchall()
+        rows = self.read(
+            "SELECT traces.trace_id, traces.label, traces.created_at,"
+            " traces.payload_hash, blobs.data AS payload"
+            " FROM traces LEFT JOIN blobs"
+            " ON blobs.hash = traces.payload_hash"
+            " ORDER BY traces.trace_id DESC LIMIT ?",
+            (int(limit),),
+        )
         out: List[Dict[str, Any]] = []
         for row in rows:
             payload = row["payload"]
@@ -325,9 +336,7 @@ class ExperimentStore:
         if limit is not None:
             sql += " LIMIT ?"
             params.append(int(limit))
-        with self._lock:
-            rows = self._conn.execute(sql, params).fetchall()
-        return [dict(row) for row in rows]
+        return [dict(row) for row in self.read(sql, params)]
 
     def _put_blob(self, digest: str, payload: str) -> None:
         self._conn.execute(
@@ -379,14 +388,14 @@ class ExperimentStore:
         INJECTOR.fire("store.blob.read")
         where, params = query.where()
         METRICS.counter("store.queries").inc()
-        with TRACER.span("store.query_runs", category="store"), self._lock:
-            rows = self._conn.execute(
+        with TRACER.span("store.query_runs", category="store"):
+            rows = self.read(
                 f"SELECT {_RUN_COLUMNS}, blobs.data AS payload,"
                 " runs.payload_hash AS payload_hash"
                 f" FROM runs LEFT JOIN blobs ON blobs.hash = runs.payload_hash"
                 f"{where}",
                 params,
-            ).fetchall()
+            )
         out: List[StoredRun] = []
         for row in rows:
             payload = row["payload"]
@@ -420,24 +429,15 @@ class ExperimentStore:
         return out
 
     def run_ids(self) -> List[str]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT run_id FROM runs ORDER BY seq"
-            ).fetchall()
+        rows = self.read("SELECT run_id FROM runs ORDER BY seq")
         return [row["run_id"] for row in rows]
 
     def __len__(self) -> int:
-        with self._lock:
-            return int(
-                self._conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
-            )
+        return int(self.read("SELECT COUNT(*) FROM runs")[0][0])
 
     def __contains__(self, run_id: str) -> bool:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT 1 FROM runs WHERE run_id = ?", (run_id,)
-            ).fetchone()
-        return row is not None
+        rows = self.read("SELECT 1 FROM runs WHERE run_id = ?", (run_id,))
+        return bool(rows)
 
     # -- aggregation ---------------------------------------------------------
 
@@ -604,12 +604,11 @@ class ExperimentStore:
         the exact expression :func:`geomean_improvements` uses, so a
         materialized aggregate is bit-identical to the direct one.
         """
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT cell, scheme, ratio, cell_order FROM matviews"
-                " WHERE view = ? ORDER BY cell_order",
-                (view,),
-            ).fetchall()
+        rows = self.read(
+            "SELECT cell, scheme, ratio, cell_order FROM matviews"
+            " WHERE view = ? ORDER BY cell_order",
+            (view,),
+        )
         if not rows:
             raise ValueError(f"no materialized cells for view {view!r}")
         by_cell: Dict[str, Dict[str, float]] = {}

@@ -44,6 +44,8 @@ def test_benchmark_environment_resolves_one_path():
     resolved = json.loads(completed.stdout.strip().splitlines()[-1])
     assert set(resolved) == RESOLVED_KEYS
     assert resolved["kernel_engine"] == "pair"
+    assert resolved["kernel_threads"] == 1
+    assert resolved["plan_cache_capacity"] == 256
     assert resolved["noisy_engine"] == "dm"
     assert resolved["fusion"] is True
     assert resolved["batching"] is True

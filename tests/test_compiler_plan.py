@@ -3,7 +3,7 @@
 Fusion *correctness* (fused vs unfused parity across simulators) lives in
 ``tests/test_compiler_fusion.py``; this module covers the structural
 contracts: lowering, the one-affine-map binding, cache keying/LRU
-behavior, the ``fusion=`` argument and the ``REPRO_PLAN_CACHE`` knob.
+behavior, and the ``fusion=`` and ``cache=`` arguments.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from repro.circuits.parameter import Parameter
 from repro.compiler import (
     PLAN_CACHE,
     GatePlan,
+    PlanCache,
     clear_plan_cache,
     compile_plan,
     plan_cache_stats,
@@ -154,28 +155,30 @@ def test_run_circuit_is_compile_free_on_repeat():
     np.testing.assert_array_equal(first, again)
 
 
-def test_cache_lru_eviction(monkeypatch):
-    monkeypatch.setenv("REPRO_PLAN_CACHE", "2")
-    clear_plan_cache()
-    circuits = [random_circuit(2, 6, seed=s) for s in range(3)]
-    for qc in circuits:
-        compile_plan(qc)
-    stats = plan_cache_stats()
+def test_cache_lru_eviction():
+    cache = PlanCache(capacity=2)
+    for key in ("a", "b", "c"):
+        cache.get_or_build(key, lambda key=key: key)
+    stats = cache.stats()
     assert stats["size"] == 2
     assert stats["evictions"] == 1
-    # Oldest entry (seed 0) was evicted: recompiling it misses.
-    misses = plan_cache_stats()["misses"]
-    compile_plan(circuits[0])
-    assert plan_cache_stats()["misses"] == misses + 1
+    # Oldest entry ("a") was evicted: building it again misses.
+    cache.get_or_build("a", lambda: "a")
+    assert cache.stats()["misses"] == 4
+    # A hit on "c" makes "a" the oldest, so inserting "d" evicts "a".
+    cache.get_or_build("c", lambda: "c")
+    cache.get_or_build("d", lambda: "d")
+    cache.get_or_build("c", lambda: "c")
+    stats = cache.stats()
+    assert (stats["hits"], stats["misses"], stats["evictions"]) == (2, 5, 3)
 
 
-def test_cache_disabled_via_env(monkeypatch):
-    monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
-    clear_plan_cache()
+def test_uncached_compile_builds_fresh_plans():
     qc = random_circuit(2, 5, seed=1)
-    first = compile_plan(qc)
-    second = compile_plan(qc)
+    first = compile_plan(qc, cache=False)
+    second = compile_plan(qc, cache=False)
     assert first is not second
+    assert first.key == second.key
     assert plan_cache_stats()["size"] == 0
 
 

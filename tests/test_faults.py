@@ -17,7 +17,6 @@ from repro.faults import (
     FaultSpec,
     InjectedCrash,
     InjectedFault,
-    RETRY_BACKOFF_ENV,
     RETRY_MAX_ENV,
     RetryPolicy,
     call_with_retry,
@@ -228,10 +227,8 @@ def test_backoff_always_at_least_one_tick():
 
 def test_from_env(monkeypatch):
     monkeypatch.setenv(RETRY_MAX_ENV, "7")
-    monkeypatch.setenv(RETRY_BACKOFF_ENV, "4")
     policy = RetryPolicy.from_env()
     assert policy.max_attempts == 7
-    assert policy.backoff_base == 4
     # explicit overrides win; malformed env falls back to defaults
     assert RetryPolicy.from_env(max_attempts=2).max_attempts == 2
     monkeypatch.setenv(RETRY_MAX_ENV, "not-a-number")

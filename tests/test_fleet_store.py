@@ -6,6 +6,7 @@ import pytest
 
 import repro.fleet.store as fleet_store
 from repro.fleet.store import DONE, FAILED, QUEUED, RUNNING, JobStore
+from repro.obs import Stopwatch
 from repro.runtime import RunSpec, SerialExecutor
 
 
@@ -182,6 +183,30 @@ def test_transition_holds_the_write_lock_from_status_read_to_write(
         assert not finishers[0].is_alive() and errors == []
         assert first.fetch(spec.run_id).status == DONE
         assert first.result(spec.run_id) == result
+
+
+def test_reads_do_not_wait_for_another_stores_write_lock(tmp_path):
+    """While another store on the file holds its write lock with an
+    uncommitted change, queries return the committed state at once
+    rather than waiting for the lock (and timing out after 5 s)."""
+    db = tmp_path / "fleet.db"
+    spec = _spec()
+    with JobStore(db) as first, JobStore(db) as second:
+        first.enqueue(spec)
+        with second.results.transaction() as conn:
+            conn.execute(
+                "UPDATE jobs SET status=? WHERE run_id=?", (RUNNING, spec.run_id)
+            )
+            with Stopwatch() as watch:
+                record = first.fetch(spec.run_id)
+                counts = first.counts()
+                listed = first.jobs()
+        assert watch.elapsed < 1.0
+        assert record.status == QUEUED
+        assert counts[QUEUED] == 1 and counts[RUNNING] == 0
+        assert [job.status for job in listed] == [QUEUED]
+        # Once the other store commits, the same reads see its change.
+        assert first.fetch(spec.run_id).status == RUNNING
 
 
 def test_result_payload_delegated_to_experiment_store():

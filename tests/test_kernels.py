@@ -19,6 +19,7 @@ from repro.compiler.ir import (
 )
 from repro.obs.metrics import METRICS
 from repro.simulator import kernels
+from repro.simulator.kernels import pair
 from repro.simulator.batched import BatchedStatevectorSimulator
 from repro.simulator.density_matrix import DensityMatrixSimulator
 from repro.simulator.kernels.reference import (
@@ -343,13 +344,46 @@ def test_density_matrix_plan_matches_tensordot(production_floor):
         np.testing.assert_allclose(sim.run_plan(plan, theta), rho, atol=1e-12)
 
 
-def test_chunked_and_threaded_runs_are_bit_identical(monkeypatch):
-    plan, theta = _plan_and_theta(num_qubits=8)
-    baseline = StatevectorSimulator(plan.num_qubits).run_plan(plan, theta)
-    monkeypatch.setenv("REPRO_KERNEL_CHUNK", "2048")
-    monkeypatch.setenv("REPRO_KERNEL_THREADS", "2")
-    chunked = StatevectorSimulator(plan.num_qubits).run_plan(plan, theta)
-    np.testing.assert_array_equal(chunked, baseline)
+@pytest.mark.parametrize(
+    "qubits, batch",
+    [
+        ((0,), None),  # highest-order target of a serial state: column tiles
+        ((0,), 2),  # the batch folds into the rows: row tiles
+        ((3,), None),  # large stride: row tiles
+        ((4, 5), None),  # contiguous quad, large stride: row tiles
+        ((12,), None),  # small stride: wide-kron tiles
+        ((11, 12), None),  # contiguous quad, small stride: wide-kron tiles
+    ],
+    ids=["cols", "batch-rows", "rows", "quad-rows", "wide", "quad-wide"],
+)
+def test_chunked_tiles_are_bit_identical_to_one_tile(monkeypatch, qubits, batch):
+    n = 13
+    rng = np.random.default_rng(2048)
+    flat = _random_state(n, rng, batch).reshape(-1)
+    matrix = _random_unitary(1 << len(qubits), rng)
+    tiles = []
+    for_each_tile = pair._for_each_tile
+
+    def spy(total, per_tile, body):
+        tiles.append(-(-total // per_tile))
+        for_each_tile(total, per_tile, body)
+
+    monkeypatch.setattr(pair, "_for_each_tile", spy)
+    one_tile = np.empty_like(flat)
+    pair.apply_dense_shared(flat, one_tile, matrix, qubits, n, chunk=flat.size)
+    chunked = np.empty_like(flat)
+    pair.apply_dense_shared(flat, chunked, matrix, qubits, n, chunk=2048)
+    assert tiles[0] == 1 and tiles[1] > 1
+    np.testing.assert_array_equal(chunked, one_tile)
+    # The per-element kernel has no tiles of its own (one broadcast or
+    # kron-merged GEMM per batch); it agrees with the tiled shared kernel.
+    states = flat.reshape(batch or 1, -1)
+    elementwise = np.empty_like(states)
+    pair.apply_dense_elementwise(
+        states, elementwise, np.stack([matrix] * len(states)), qubits, n
+    )
+    assert len(tiles) == 2
+    np.testing.assert_allclose(elementwise.reshape(-1), chunked, atol=1e-12)
 
 
 # --------------------------------------------------------------- metrics

@@ -30,7 +30,7 @@ from repro.store import ExperimentStore
 @pytest.fixture
 def tracer():
     tracer = Tracer()
-    tracer.configure(enabled=True, kernel_stride=1)
+    tracer.configure(enabled=True)
     with tracer.span("job", category="execute", app="App1"):
         with tracer.span("compile.default", category="compile", qubits=4):
             pass

@@ -1,4 +1,4 @@
-"""repro.obs core: span trees, sampling, cross-thread attach, metrics."""
+"""repro.obs core: span trees, cross-thread attach, metrics."""
 
 import threading
 
@@ -13,10 +13,9 @@ from repro.obs.trace import Tracer
 def tracer(monkeypatch):
     """A fresh enabled tracer, isolated from the process-wide singleton."""
     monkeypatch.delenv("REPRO_TRACE", raising=False)
-    monkeypatch.delenv("REPRO_TRACE_SAMPLE", raising=False)
     monkeypatch.delenv("REPRO_TRACE_EXPORT", raising=False)
     tracer = Tracer()
-    tracer.configure(enabled=True, kernel_stride=1)
+    tracer.configure(enabled=True)
     return tracer
 
 
@@ -39,22 +38,6 @@ def test_trace_env_enables(monkeypatch):
     assert Tracer().enabled
     monkeypatch.setenv("REPRO_TRACE", "0")
     assert not Tracer().enabled
-
-
-@pytest.mark.parametrize(
-    "raw, stride",
-    [
-        ("8", 8),
-        ("1", 1),
-        ("0.25", 4),  # a rate: keep ~a quarter of sites
-        ("0", 0),  # drop all kernel-site spans
-        ("-3", 0),
-        ("garbage", 64),  # unparsable -> default stride
-    ],
-)
-def test_sample_env_parsing(monkeypatch, raw, stride):
-    monkeypatch.setenv("REPRO_TRACE_SAMPLE", raw)
-    assert Tracer().kernel_stride == stride
 
 
 # -- span trees ---------------------------------------------------------------
@@ -86,11 +69,12 @@ def test_sequential_roots_stay_separate(tracer):
 def test_reset_drops_spans_and_rereads_env(tracer, monkeypatch):
     with tracer.span("old"):
         pass
+    tracer.configure(enabled=False)
     monkeypatch.setenv("REPRO_TRACE", "1")
-    monkeypatch.setenv("REPRO_TRACE_SAMPLE", "7")
+    monkeypatch.setenv("REPRO_TRACE_EXPORT", "out.json")
     tracer.reset()
     assert tracer.roots == [] and tracer.enabled
-    assert tracer.kernel_stride == 7
+    assert tracer.export_path == "out.json"
 
 
 def test_current_tracks_innermost_open_span(tracer):
@@ -101,39 +85,6 @@ def test_current_tracks_innermost_open_span(tracer):
             assert tracer.current() is inner
         assert tracer.current() is outer
     assert tracer.current() is None
-
-
-# -- kernel-site sampling -----------------------------------------------------
-
-
-def test_kernel_span_stride_keeps_every_nth(tracer):
-    tracer.configure(kernel_stride=4)
-    with tracer.span("run", category="kernel"):
-        kept = sum(
-            1
-            for _ in range(16)
-            if tracer.kernel_span("kernel.gate") is not NOOP_SPAN
-        )
-    assert kept == 4
-
-
-def test_kernel_span_stride_zero_drops_all(tracer):
-    tracer.configure(kernel_stride=0)
-    assert tracer.kernel_span("kernel.gate") is NOOP_SPAN
-
-
-def test_kernel_sampling_uses_counter_not_rng(tracer):
-    """Sampling is a per-thread counter: same call pattern, same picks."""
-    tracer.configure(kernel_stride=3)
-    picks = [
-        tracer.kernel_span("k") is not NOOP_SPAN for _ in range(9)
-    ]
-    tracer2 = Tracer()
-    tracer2.configure(enabled=True, kernel_stride=3)
-    picks2 = [
-        tracer2.kernel_span("k") is not NOOP_SPAN for _ in range(9)
-    ]
-    assert picks == picks2 == [True, False, False] * 3
 
 
 # -- cross-thread reassembly --------------------------------------------------
