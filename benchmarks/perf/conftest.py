@@ -143,8 +143,8 @@ def _traced_phases() -> Dict[str, object]:
 
     Shares are within-run normalized (they sum to ~coverage), so like the
     normalized benchmark times they survive runner-speed differences;
-    ``tools/check_bench.py`` compares them tolerantly (first appearance
-    never gates).
+    ``tools/check_bench.py`` gates their drift. A failure here propagates:
+    a file written without phases would switch that gate off.
     """
     from repro.obs import TRACER
     from repro.obs.report import build_report
@@ -175,10 +175,6 @@ def pytest_sessionfinish(session, exitstatus):
         return
     if not _dedicated_perf_run(session):
         return
-    try:
-        phases = _traced_phases()
-    except Exception:  # phases are informative; never fail the bench write
-        phases = None
     payload = {
         "schema": 1,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -191,7 +187,6 @@ def pytest_sessionfinish(session, exitstatus):
         },
         "benchmarks": dict(sorted(_RESULTS.items())),
         "derived": _derived(_RESULTS),
+        "phases": _traced_phases(),
     }
-    if phases is not None:
-        payload["phases"] = phases
     BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

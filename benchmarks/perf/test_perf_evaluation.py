@@ -6,7 +6,7 @@ Three tiers, matching how the batched engine is consumed:
   thousands of SPSA evaluations pay without batching;
 * ``batch_8x`` — the same eight parameter sets through one
   :meth:`EnergyObjective.batch_energies` call (dense path) plus the
-  matrix-free variant and a 24-seed population step;
+  matrix-free variant;
 * ``fig17_scale`` — a reduced fig17-shaped end-to-end comparison
   (one app, baseline vs QISMET) through the experiment-plan runtime.
 
@@ -23,8 +23,6 @@ from repro.ansatz.efficient_su2 import EfficientSU2
 from repro.experiments.registry import get_app
 from repro.experiments.runner import run_comparison
 from repro.hamiltonians.tfim import tfim_hamiltonian
-from repro.optimizers.spsa import SPSA
-from repro.vqa.multi_vqe import PopulationVQE
 from repro.vqa.objective import EnergyObjective
 
 QUBITS = 8
@@ -93,31 +91,6 @@ def test_batch_8x_matrix_free_8q(record_benchmark, monkeypatch):
         batch=BATCH,
     )
     assert np.isfinite(energies).all()
-
-
-def test_population_vqe_24_seeds(record_benchmark):
-    objective = _objective()
-    population = PopulationVQE(
-        objective, lambda seed: SPSA(seed=seed), track_true_energy=False
-    )
-
-    def run():
-        return population.run(5, seeds=range(24))
-
-    results = record_benchmark(
-        "population_vqe_24x5_8q",
-        run,
-        rounds=3,
-        # Dispatch-bound like the serial loop, not kernel-bound like a
-        # single eval: normalize within the same cost family so the CI
-        # gate is stable across machines with different BLAS/runtime
-        # speed balances.
-        reference="serial_8x_eval_8q",
-        qubits=QUBITS,
-        seeds=24,
-        iterations=5,
-    )
-    assert len(results) == 24
 
 
 def test_fig17_scale_end_to_end(record_benchmark):

@@ -22,15 +22,15 @@ Quickstart::
     result = vqe.run(300, seed=17)
     print(result.final_machine_energy)
 
-The batched evaluation engine (``BatchedStatevectorSimulator``,
-``EnergyObjective.batch_energies``, ``PopulationVQE``), the unified
-compiler pipeline (``compile_plan``, ``compile_noise_plan``,
-``transpile_then_compile``, ``GatePlan``, ``NoisePlan``; see
-:mod:`repro.compiler`), the noisy-execution engine
-(``DensityMatrixSimulator``) and the fleet scheduling service
-(``FleetExecutor``, ``FleetService``, ``DeviceFleet``; see
-:mod:`repro.fleet`) are exported here too, so workers and downstream
-users never need to reach into submodules.
+The batched evaluation engine (``BatchedStatevectorSimulator`` and
+``EnergyObjective.batch_energies``, through which unguarded ``VQE`` runs
+evaluate SPSA's blocks), the unified compiler pipeline
+(``compile_plan``, ``compile_noise_plan``, ``transpile_then_compile``,
+``GatePlan``, ``NoisePlan``; see :mod:`repro.compiler`), the
+noisy-execution engine (``DensityMatrixSimulator``) and the fleet
+scheduling service (``FleetExecutor``, ``FleetService``,
+``DeviceFleet``; see :mod:`repro.fleet`) are exported here too, so
+workers and downstream users never need to reach into submodules.
 """
 
 __version__ = "1.0.0"
@@ -90,7 +90,7 @@ from repro.runtime import (
     SerialExecutor,
 )
 from repro.fleet import DeviceFleet, FleetExecutor, FleetService
-from repro.vqa import EnergyObjective, PopulationVQE, VQE, VQEResult
+from repro.vqa import EnergyObjective, VQE, VQEResult
 
 __all__ = [
     "__version__",
@@ -144,7 +144,6 @@ __all__ = [
     "FleetExecutor",
     "FleetService",
     "EnergyObjective",
-    "PopulationVQE",
     "VQE",
     "VQEResult",
 ]

@@ -13,10 +13,10 @@ import numpy as np
 
 
 def batching_disabled() -> bool:
-    """Whether the batched evaluation fast path is off: never.
+    """Whether block evaluation is off: never.
 
-    Kept so run manifests can record the resolved setting; a backend
-    class opts out of batching by leaving ``supports_batch`` false.
+    Kept so run manifests can record the resolved setting; every backend
+    evaluates a block of jobs through :meth:`EnergyBackend._evaluate_batch`.
     """
     return False
 
@@ -27,28 +27,22 @@ class EnergyJob:
     def __init__(self, backend: "EnergyBackend", index: int):
         self.backend = backend
         self.index = index
-        self.circuits_run = 0
 
     def energy(self, theta: np.ndarray) -> float:
         """Objective estimate for parameters ``theta`` within this job."""
-        self.circuits_run += 1
         self.backend.total_circuits += 1
         return self.backend._evaluate(np.asarray(theta, dtype=float), self.index)
 
 
 class EnergyBackend:
-    """Base backend; subclasses implement ``_evaluate``.
+    """Base backend; subclasses implement ``_evaluate`` and ``_evaluate_batch``.
 
-    Backends whose per-job evaluation is independent of job *creation*
-    order (everything keyed off ``job_index`` plus a sequentially consumed
-    RNG) may set ``supports_batch = True`` and override
-    :meth:`_evaluate_batch` to vectorize the expensive ideal-energy part
-    across a whole block of evaluations. Job accounting — one job per
-    evaluation, one circuit per job — is identical on both paths.
+    ``_evaluate`` runs one circuit within one job (a candidate
+    measurement, or QISMET's guarded evaluation and its rerun).
+    ``_evaluate_batch`` runs a block of jobs, one circuit per row; it
+    vectorizes the expensive ideal-energy part and draws any backend RNG
+    in row order, so a block equals its rows evaluated one by one.
     """
-
-    #: Opt-in flag for the batched evaluation fast path.
-    supports_batch = False
 
     def __init__(self) -> None:
         self.job_counter = 0
@@ -66,36 +60,24 @@ class EnergyBackend:
     def _evaluate_batch(
         self, thetas: np.ndarray, job_indices: Sequence[int]
     ) -> np.ndarray:
-        """Batched ``_evaluate``; override together with ``supports_batch``.
+        """Row ``i`` evaluated as one circuit of job ``job_indices[i]``.
 
-        Implementations must consume any backend RNG in the same order as
-        ``[_evaluate(t, j) for t, j in zip(thetas, job_indices)]`` so that
-        batched and serial execution draw identical noise streams.
+        Must equal ``[_evaluate(t, j) for t, j in zip(thetas,
+        job_indices)]``, drawing any backend RNG in that same order.
         """
-        return np.array(
-            [self._evaluate(t, j) for t, j in zip(thetas, job_indices)],
-            dtype=float,
-        )
+        raise NotImplementedError
 
     def evaluate_jobs(self, thetas: np.ndarray) -> np.ndarray:
         """Evaluate a ``(B, P)`` block, one quantum job per row.
 
-        Batch-capable backends open all jobs up front and evaluate the
-        block in one :meth:`_evaluate_batch` call; the rest interleave
-        ``new_job``/``energy`` exactly like serial callers (some backends
-        — e.g. the Kalman wrapper — couple evaluation to job creation
-        order).
+        Opens ``B`` consecutive jobs and evaluates the block in one
+        :meth:`_evaluate_batch` call; accounting is one circuit per job.
         """
         thetas = np.asarray(thetas, dtype=float)
-        if not self.supports_batch:
-            return np.array(
-                [self.new_job().energy(theta) for theta in thetas], dtype=float
-            )
-        jobs = [self.new_job() for _ in range(len(thetas))]
-        for job in jobs:
-            job.circuits_run += 1
-        self.total_circuits += len(jobs)
-        return self._evaluate_batch(thetas, [job.index for job in jobs])
+        first = self.job_counter
+        self.job_counter += len(thetas)
+        self.total_circuits += len(thetas)
+        return self._evaluate_batch(thetas, range(first, self.job_counter))
 
     def reset(self) -> None:
         self.job_counter = 0

@@ -13,8 +13,6 @@ from repro.vqa.objective import EnergyObjective
 class IdealBackend(EnergyBackend):
     """Exact statevector energies; no static noise, no transients."""
 
-    supports_batch = True
-
     def __init__(self, objective: EnergyObjective):
         super().__init__()
         self.objective = objective

@@ -32,8 +32,6 @@ from repro.vqa.objective import EnergyObjective
 class StaticNoiseBackend(EnergyBackend):
     """Static noise only — the paper's (unrealistic) blue line."""
 
-    supports_batch = True
-
     def __init__(
         self,
         objective: EnergyObjective,
@@ -57,9 +55,6 @@ class StaticNoiseBackend(EnergyBackend):
     def _static_mix(self, ideal: float) -> float:
         """Global-depolarizing mix of an ideal energy (no shot noise)."""
         return self.survival * ideal + (1.0 - self.survival) * self.mixed_energy
-
-    def static_energy(self, theta: np.ndarray) -> float:
-        return self._static_mix(self.objective.ideal_energy(theta))
 
     def _finish(self, theta: np.ndarray, ideal: float, job_index: int) -> float:
         """Noise model applied to a precomputed ideal energy."""

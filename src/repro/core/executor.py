@@ -42,8 +42,8 @@ class PlainEvaluator:
 
         The batch contract consumed by :func:`repro.optimizers.base.
         evaluate_many`: SPSA-style optimizers hand their theta+/theta-
-        pairs (and resampling/2SPSA blocks) here, and batch-capable
-        backends run all rows through the vectorized simulator at once.
+        pairs (and resampling/2SPSA blocks) here, and the backend runs
+        all rows through the vectorized simulator at once.
         """
         return self.backend.evaluate_jobs(thetas)
 

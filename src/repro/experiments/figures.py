@@ -526,41 +526,44 @@ def fig18_h2_curve(
     one independent VQE per bond length; QISMET should track the
     noise-free bell shape while the baseline deviates.
     """
-    from repro.chemistry.h2 import dissociation_bond_lengths
+    from repro.chemistry.h2 import (
+        dissociation_bond_lengths,
+        h2_hf_initial_point,
+        h2_problem,
+    )
     from repro.noise.transient.trace_generator import machine_trace
-    from repro.vqa.multi_vqe import DissociationCurveRunner
 
     iterations = iterations or default_iterations(600, 200)
     if bond_lengths is None:
         bond_lengths = dissociation_bond_lengths(0.4, 2.0, 10)
         if iterations < 400:  # reduced scale: fewer geometries too
             bond_lengths = dissociation_bond_lengths(0.4, 2.0, 6)
+    problems = [h2_problem(float(r)) for r in bond_lengths]
 
     no_noise = NoiseModel.ideal()
     curves: Dict[str, List[float]] = {}
     for scheme in ("noise-free", "baseline", "qismet"):
-        def factory(problem, objective, run_seed, _scheme=scheme):
-            trace = machine_trace(
-                "guadalupe", 5 * iterations + 64,
-                derive_seed(seed, f"fig18:{run_seed}"),
-            )
-            return build_vqe(
-                _scheme,
-                objective,
-                trace=None if _scheme == "noise-free" else trace,
+        curves[scheme] = []
+        for i, problem in enumerate(problems):
+            run_seed = seed + i
+            ansatz = RealAmplitudes(problem.num_qubits, reps=2)
+            trace = None
+            if scheme != "noise-free":
+                trace = machine_trace(
+                    "guadalupe", 5 * iterations + 64,
+                    derive_seed(seed, f"fig18:{run_seed}"),
+                )
+            vqe = build_vqe(
+                scheme,
+                EnergyObjective(ansatz, problem.hamiltonian),
+                trace=trace,
                 noise_model=no_noise,  # paper: transient noise only
-                seed=derive_seed(seed, f"fig18:{_scheme}:{run_seed}"),
+                seed=derive_seed(seed, f"fig18:{scheme}:{run_seed}"),
                 iterations_hint=iterations,
             )
-
-        runner = DissociationCurveRunner(
-            vqe_factory=factory,
-            ansatz_factory=lambda nq: RealAmplitudes(nq, reps=2),
-            iterations=iterations,
-        )
-        points = runner.run(bond_lengths, seed=seed)
-        curves[scheme] = [p.estimated_energy for p in points]
-        fci = [p.fci_energy for p in points]
+            theta0 = h2_hf_initial_point(ansatz, seed=run_seed)
+            result = vqe.run(iterations, theta0=theta0)
+            curves[scheme].append(result.tail_true_energy(0.15))
 
     def rms_vs_reference(values: Sequence[float], ref: Sequence[float]) -> float:
         return float(np.sqrt(np.mean((np.array(values) - np.array(ref)) ** 2)))
@@ -568,7 +571,7 @@ def fig18_h2_curve(
     reference = curves["noise-free"]
     return {
         "bond_lengths": list(map(float, bond_lengths)),
-        "fci": fci,
+        "fci": [problem.fci_energy for problem in problems],
         "curves": curves,
         "rms_error": {
             scheme: rms_vs_reference(values, reference)

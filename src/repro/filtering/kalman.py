@@ -17,7 +17,7 @@ algorithmic variance and saturates.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -63,16 +63,20 @@ class KalmanFilter1D:
         return float(self.estimate)
 
     def filter_series(self, values) -> np.ndarray:
-        """Filter an entire series (resets nothing; call on fresh filters)."""
+        """Fold ``values`` in order; returns each estimate (resets nothing)."""
         return np.array([self.update(v) for v in values])
 
 
 class KalmanFilteredBackend(EnergyBackend):
     """Wraps a backend so every energy estimate is Kalman-filtered.
 
-    The shared filter state couples evaluations at different parameters —
-    exactly the paper's point about why magnitude-only filtering struggles
-    in the VQA tuning landscape.
+    The wrapper keeps the job clock and hands each job index to the inner
+    backend's ``_evaluate``/``_evaluate_batch``, so the inner trace
+    advances job by job; a block's raw energies fold into the filter in
+    row order, as a row-by-row run would fold them. The shared filter
+    state couples evaluations at different parameters — exactly the
+    paper's point about why magnitude-only filtering struggles in the VQA
+    tuning landscape.
     """
 
     def __init__(
@@ -84,31 +88,26 @@ class KalmanFilteredBackend(EnergyBackend):
     ):
         super().__init__()
         self.inner = inner
-        self.filter = KalmanFilter1D(
-            transition=transition,
-            measurement_variance=measurement_variance,
-            process_variance=process_variance,
-        )
         self._params = (transition, measurement_variance, process_variance)
+        self.filter = self._fresh_filter()
 
-    def new_job(self):
-        # Delegate the job clock to the inner backend so traces advance,
-        # while routing evaluations through the filter.
-        outer = super().new_job()
-        self._inner_job = self.inner.new_job()
-        return outer
-
-    def _evaluate(self, theta: np.ndarray, job_index: int) -> float:
-        raw = self._inner_job.energy(theta)
-        self.total_circuits = self.inner.total_circuits
-        return self.filter.update(raw)
-
-    def reset(self) -> None:
-        super().reset()
-        self.inner.reset()
+    def _fresh_filter(self) -> KalmanFilter1D:
         transition, mv, pv = self._params
-        self.filter = KalmanFilter1D(
+        return KalmanFilter1D(
             transition=transition,
             measurement_variance=mv,
             process_variance=pv,
         )
+
+    def _evaluate(self, theta: np.ndarray, job_index: int) -> float:
+        return self.filter.update(self.inner._evaluate(theta, job_index))
+
+    def _evaluate_batch(
+        self, thetas: np.ndarray, job_indices: Sequence[int]
+    ) -> np.ndarray:
+        raw = self.inner._evaluate_batch(thetas, job_indices)
+        return self.filter.filter_series(raw)
+
+    def reset(self) -> None:
+        super().reset()
+        self.filter = self._fresh_filter()

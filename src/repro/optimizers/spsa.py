@@ -86,9 +86,9 @@ class SPSA(IterativeOptimizer):
         self, theta: np.ndarray, evaluate: Evaluator, ck: float
     ) -> np.ndarray:
         delta = self._rademacher(theta.size)
-        # The theta+/theta- pair is one batched call: batch-capable
-        # evaluators (ideal/static/transient backends) push both points
-        # through the vectorized simulator in a single NumPy pass.
+        # The theta+/theta- pair is one batched call: evaluators with a
+        # block path (every unguarded backend) push both points through
+        # the vectorized simulator in a single NumPy pass.
         plus, minus = evaluate_many(
             evaluate, np.stack([theta + ck * delta, theta - ck * delta])
         )

@@ -20,7 +20,7 @@ Typical use::
     print(outcome.geomean_improvements())
 """
 
-from repro.runtime.execute import execute_all, execute_run
+from repro.runtime.execute import execute_run
 from repro.runtime.executors import (
     BaseExecutor,
     CachedExecutor,
@@ -48,7 +48,6 @@ __all__ = [
     "RunResult",
     "RunSpec",
     "SerialExecutor",
-    "execute_all",
     "execute_run",
     "executor_for",
     "freeze_overrides",

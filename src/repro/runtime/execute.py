@@ -24,16 +24,13 @@ results.
 
 Hot path: every run built here routes its same-circuit evaluations
 through the batched engine — SPSA's theta+/theta- pairs (and the
-resampling/2SPSA blocks) reach the backend as one block, and
-batch-capable backends evaluate them in a single vectorized simulator
-pass (see :mod:`repro.simulator.batched`). RNG streams are consumed in
-the serial order, so executor choice *and* batching leave results
-unchanged.
+resampling/2SPSA blocks) reach the backend as one block, which it
+evaluates in a single vectorized simulator pass (see
+:mod:`repro.simulator.batched`). RNG streams are consumed in the serial
+order, so executor choice *and* batching leave results unchanged.
 """
 
 from __future__ import annotations
-
-from typing import List, Sequence
 
 import numpy as np
 
@@ -133,8 +130,3 @@ def execute_run(spec: RunSpec) -> RunResult:
             ground_truth=app.ground_truth_energy(),
             elapsed_s=clock.elapsed,
         )
-
-
-def execute_all(specs: Sequence[RunSpec]) -> List[RunResult]:
-    """Execute specs one after another in this process."""
-    return [execute_run(spec) for spec in specs]

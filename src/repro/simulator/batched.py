@@ -1,10 +1,10 @@
 """Batched statevector simulation.
 
 The serial simulator (:mod:`repro.simulator.statevector`) executes one
-parameter vector at a time, so a VQE iteration's SPSA pair, a population
-of seeds, or a sweep of candidate points each pays the full Python
-per-gate dispatch cost. This engine carries a *leading batch axis*
-through every gate application: states are rank-``n+1`` tensors of shape
+parameter vector at a time, so a VQE iteration's SPSA pair or a sweep
+of candidate points pays the full Python per-gate dispatch cost per
+point. This engine carries a *leading batch axis* through every gate
+application: states are rank-``n+1`` tensors of shape
 ``(B, 2, ..., 2)`` and each gate is applied to all ``B`` states in one
 NumPy contraction, amortizing the per-gate overhead across the batch.
 

@@ -1,15 +1,12 @@
-"""The VQA layer: objectives, the VQE driver and multi-VQE runners."""
+"""The VQA layer: objectives, the VQE driver and its results."""
 
 from repro.vqa.objective import EnergyObjective
 from repro.vqa.result import IterationRecord, VQEResult
 from repro.vqa.vqe import VQE
-from repro.vqa.multi_vqe import DissociationCurveRunner, PopulationVQE
 
 __all__ = [
     "EnergyObjective",
     "IterationRecord",
     "VQEResult",
     "VQE",
-    "DissociationCurveRunner",
-    "PopulationVQE",
 ]

@@ -125,8 +125,8 @@ class EnergyObjective:
 
         The whole batch runs through the ansatz in one vectorized pass
         (one NumPy contraction per gate instead of ``B``), which is the
-        hot-path lever for SPSA pairs, resampled gradients and multi-seed
-        populations. ``batch_energies(thetas)[i]`` equals
+        hot-path lever for SPSA pairs and the resampling/2SPSA blocks.
+        ``batch_energies(thetas)[i]`` equals
         ``ideal_energy(thetas[i])`` bit for bit on the small-state route
         and up to fp reassociation (<= 1e-12) above it. Batched rows do
         not fill the :meth:`energy_at` memo.

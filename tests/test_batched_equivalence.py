@@ -16,23 +16,20 @@ import pytest
 import repro.vqa.objective as objective_module
 from repro.ansatz.efficient_su2 import EfficientSU2
 from repro.ansatz.real_amplitudes import RealAmplitudes
-from repro.backends.ideal import IdealBackend
-from repro.backends.transient import StaticNoiseBackend
+from repro.backends.base import EnergyBackend
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameter import Parameter
 from repro.compiler import compile_plan
+from repro.core.executor import PlainEvaluator
 from repro.experiments.registry import get_app
 from repro.experiments.schemes import build_vqe
 from repro.hamiltonians.tfim import tfim_hamiltonian
 from repro.noise.noise_model import NoiseModel
 from repro.operators.pauli_sum import PauliSum
 from repro.optimizers.base import evaluate_many
-from repro.optimizers.spsa import SPSA
 from repro.simulator.batched import BatchedStatevectorSimulator
 from repro.simulator.statevector import StatevectorSimulator
-from repro.vqa.multi_vqe import PopulationVQE
 from repro.vqa.objective import EnergyObjective
-from repro.vqa.vqe import VQE
 
 TOLERANCE = 1e-12
 
@@ -151,15 +148,27 @@ def test_large_system_never_densifies(monkeypatch):
     assert objective._dense is None
 
 
-def test_spsa_batched_run_is_bit_identical_to_serial(monkeypatch):
-    """The regression oracle: batching must not change *any* result.
+@pytest.mark.parametrize(
+    "scheme",
+    ["baseline", "kalman", "resampling", "2nd-order", "static-only", "noise-free"],
+)
+def test_spsa_batched_run_is_bit_identical_to_serial(monkeypatch, scheme):
+    """The regression oracle: block evaluation must not change *any* result.
 
-    The transient backend consumes seed-derived RNG streams; running the
-    same spec with batching switched off on the backend classes
-    (``supports_batch = False``) must reproduce the batched run
-    bit-for-bit.
+    Without ``PlainEvaluator.energies``, :func:`evaluate_many` evaluates
+    one job per row through ``energy``; that serial run must reproduce the
+    block run bit for bit, seed-derived noise draws and the Kalman
+    filter's fold order included.
     """
     app = get_app("App1")
+    blocks = []
+    evaluate_jobs = EnergyBackend.evaluate_jobs
+
+    def counted(backend, thetas):
+        blocks.append(len(thetas))
+        return evaluate_jobs(backend, thetas)
+
+    monkeypatch.setattr(EnergyBackend, "evaluate_jobs", counted)
 
     def run_once():
         hamiltonian = app.build_hamiltonian()
@@ -167,7 +176,7 @@ def test_spsa_batched_run_is_bit_identical_to_serial(monkeypatch):
         trace = app.build_trace(length=200, seed=7)
         objective = EnergyObjective(app.build_ansatz(), hamiltonian)
         vqe = build_vqe(
-            "baseline",
+            scheme,
             objective,
             trace=trace,
             noise_model=noise_model,
@@ -178,59 +187,19 @@ def test_spsa_batched_run_is_bit_identical_to_serial(monkeypatch):
         return vqe.run(25, theta0=objective.initial_point(seed=17))
 
     batched = run_once()
-    for backend_class in (IdealBackend, StaticNoiseBackend):
-        monkeypatch.setattr(backend_class, "supports_batch", False)
+    assert blocks, "the block path never ran"
+    monkeypatch.delattr(PlainEvaluator, "energies")
+    blocks.clear()
     serial = run_once()
+    assert not blocks
 
     assert batched.total_jobs == serial.total_jobs
     assert batched.total_circuits == serial.total_circuits
     np.testing.assert_array_equal(
         batched.machine_energies, serial.machine_energies
     )
+    np.testing.assert_array_equal(batched.true_energies, serial.true_energies)
     np.testing.assert_array_equal(batched.final_theta, serial.final_theta)
-
-
-def test_population_vqe_matches_serial_seed_runs():
-    hamiltonian = tfim_hamiltonian(4)
-    seeds = [5, 6, 7]
-    objective = EnergyObjective(RealAmplitudes(4, reps=2), hamiltonian)
-    population = PopulationVQE(objective, lambda seed: SPSA(seed=seed))
-    pop_results = population.run(20, seeds=seeds)
-
-    for seed, pop_result in zip(seeds, pop_results):
-        solo_objective = EnergyObjective(RealAmplitudes(4, reps=2), hamiltonian)
-        vqe = VQE(solo_objective, IdealBackend(solo_objective), SPSA(seed=seed))
-        solo = vqe.run(20, theta0=solo_objective.initial_point(seed=seed))
-        assert pop_result.total_jobs == solo.total_jobs
-        assert pop_result.total_circuits == solo.total_circuits
-        np.testing.assert_allclose(
-            pop_result.machine_energies,
-            solo.machine_energies,
-            atol=TOLERANCE,
-            rtol=0.0,
-        )
-        np.testing.assert_allclose(
-            pop_result.true_energies, solo.true_energies, atol=TOLERANCE, rtol=0.0
-        )
-        np.testing.assert_allclose(
-            pop_result.final_theta, solo.final_theta, atol=TOLERANCE, rtol=0.0
-        )
-
-
-def test_population_vqe_rejects_non_plain_spsa():
-    from repro.optimizers.spsa import (
-        BlockingSPSA,
-        ResamplingSPSA,
-        SecondOrderSPSA,
-    )
-
-    objective = EnergyObjective(RealAmplitudes(3, reps=1), tfim_hamiltonian(3))
-    for optimizer_cls in (BlockingSPSA, ResamplingSPSA, SecondOrderSPSA):
-        population = PopulationVQE(
-            objective, lambda seed: optimizer_cls(seed=seed)
-        )
-        with pytest.raises(TypeError):
-            population.run(5, seeds=[1])
 
 
 def test_evaluate_many_serial_fallback():

@@ -156,3 +156,33 @@ def test_max_regression_flag(tmp_path, slack):
         tmp_path, _payload(BASE), _payload(current), "--max-regression", slack
     )
     assert result == expected
+
+
+def _with_phases(payload, **shares):
+    payload = json.loads(json.dumps(payload))  # deep copy
+    payload["phases"] = {"workload": "w", "coverage": 0.99, "shares": shares}
+    return payload
+
+
+PHASED_BASE = _with_phases(_payload(BASE), kernel=0.6, execute=0.3)
+
+
+def test_missing_phases_fail_against_a_phased_baseline(tmp_path, capsys):
+    # A perf run whose trace failed writes no phases; that must not turn
+    # the drift gate off silently.
+    assert _run(tmp_path, PHASED_BASE, _payload(BASE)) == 1
+    assert "lacks the baseline's traced phases" in capsys.readouterr().out
+
+
+def test_phase_drift_over_limit_fails(tmp_path, capsys):
+    within = _with_phases(_payload(BASE), kernel=0.5, execute=0.4)
+    over = _with_phases(_payload(BASE), kernel=0.2, execute=0.7)
+    assert _run(tmp_path, PHASED_BASE, within) == 0
+    assert _run(tmp_path, PHASED_BASE, over) == 1
+    assert "phase kernel share drifted 0.400" in capsys.readouterr().out
+
+
+def test_phases_gate_is_first_appearance_and_subset_tolerant(tmp_path):
+    current = _with_phases(_payload(BASE), kernel=0.1, execute=0.9)
+    assert _run(tmp_path, _payload(BASE), current) == 0
+    assert _run(tmp_path, PHASED_BASE, _payload(BASE), "--subset") == 0

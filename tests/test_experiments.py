@@ -220,3 +220,29 @@ def test_run_comparison_matches_standalone_spec_execution():
         RunSpec(app="App1", scheme="qismet", iterations=8, seed=11)
     )
     assert solo.result.to_dict() == comp.results["qismet"].to_dict()
+
+
+# Fig. 18 at seed 41, 20 iterations, three geometries: FCI and each
+# scheme's tail true energy per bond length.
+FIG18_BOND_LENGTHS = (0.5, 0.74, 1.5)
+FIG18_FCI = [-1.055159761364411, -1.137283834946747, -0.9981493707552018]
+FIG18_CURVES = {
+    "noise-free": [-1.0511265623611505, -1.126012218521766, -0.9377778816975783],
+    "baseline": [-0.9750906284103867, -1.0504902195380368, -0.9369715165397094],
+    "qismet": [-0.9197785778973321, -1.1253062424737719, -0.9386160245624219],
+}
+
+
+def test_fig18_h2_curve_pinned():
+    from repro.experiments.figures import fig18_h2_curve
+
+    data = fig18_h2_curve(
+        seed=41, iterations=20, bond_lengths=FIG18_BOND_LENGTHS
+    )
+    assert data["bond_lengths"] == list(FIG18_BOND_LENGTHS)
+    np.testing.assert_allclose(data["fci"], FIG18_FCI, atol=1e-12, rtol=0.0)
+    assert set(data["curves"]) == set(FIG18_CURVES)
+    for scheme, expected in FIG18_CURVES.items():
+        np.testing.assert_allclose(
+            data["curves"][scheme], expected, atol=1e-12, rtol=0.0
+        )

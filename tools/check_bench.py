@@ -29,7 +29,9 @@ self-time shares of one end-to-end run (see
 they compare across machines: a phase whose share drifted more than
 ``--max-phase-drift`` (absolute, default 0.30) fails the gate. The
 comparison is first-appearance tolerant — a baseline without ``phases``
-(or a phase new to the current file) reports but never gates.
+(or a phase new to the current file) reports but never gates — but a
+current file that lacks the baseline's ``phases`` fails, except under
+``--subset``.
 
 Benchmarks present in the current file but absent from the baseline are
 reported as "new" and skipped (there is nothing to compare against —
@@ -128,14 +130,23 @@ def report_roofline(current: dict) -> None:
 
 
 def compare_phases(
-    baseline: dict, current: dict, max_drift: float, failures: list
+    baseline: dict,
+    current: dict,
+    max_drift: float,
+    failures: list,
+    subset: bool = False,
 ) -> None:
     """Tolerant comparison of the obs per-phase share breakdowns."""
     cur = current.get("phases")
+    base = baseline.get("phases")
     if not cur:
-        return  # nothing recorded this run; never gate on absence
+        # A full run must record the phases its baseline has; otherwise
+        # the drift gate would switch off without a word.
+        if base and not subset:
+            failures.append("current file lacks the baseline's traced phases")
+        return
     shares = cur.get("shares", {})
-    base_shares = (baseline.get("phases") or {}).get("shares")
+    base_shares = (base or {}).get("shares")
     print(
         f"\ntraced phases ({cur.get('workload', '?')}, "
         f"coverage {100.0 * cur.get('coverage', 0.0):.1f}%):"
@@ -318,7 +329,7 @@ def main(argv=None) -> int:
             failures.append(f"benchmark {name} disappeared from the suite")
 
     report_roofline(current)
-    compare_phases(baseline, current, args.max_phase_drift, failures)
+    compare_phases(baseline, current, args.max_phase_drift, failures, args.subset)
 
     if failures:
         print("\ncheck_bench: FAILED")
