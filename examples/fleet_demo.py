@@ -4,7 +4,8 @@ Declares a plan, submits it to ``repro.fleet`` (transient-aware scheduler
 + persistent SQLite job store + one worker thread per device), and shows:
 
 1. jobs distributed across the fleet, with per-device utilization and
-   deferral counters;
+   deferral counters (counted from the job store's journal, where every
+   scheduling decision is one row);
 2. a scripted transient window (Toronto turbulent from tick 0) causing
    QISMET-style deferrals away from that machine — with bit-identical
    results, because every run is fully seed-determined;
@@ -32,8 +33,8 @@ PLAN = ExperimentPlan(
 )
 
 
-def show_telemetry(executor: FleetExecutor) -> None:
-    snapshot = executor.telemetry.snapshot()
+def show_counters(executor: FleetExecutor) -> None:
+    snapshot = executor.telemetry()
     for name, counters in sorted(snapshot["devices"].items()):
         print(
             f"  {name:>12}: completed={counters['completed']:<3}"
@@ -67,8 +68,8 @@ def main() -> None:
             start = time.perf_counter()
             first = executor.run_plan(PLAN)
             print(f"  elapsed {time.perf_counter() - start:.1f}s")
-            show_telemetry(executor)
-            toronto = executor.telemetry.snapshot()["devices"].get("toronto")
+            show_counters(executor)
+            toronto = executor.telemetry()["devices"].get("toronto")
             print(
                 "  toronto deferrals during injected window: "
                 f"{toronto['deferred'] if toronto else 0}"

@@ -300,9 +300,9 @@ def fig13_fleet(
     routes each run across the simulated IBMQ fleet (deferring devices
     inside predicted transient windows, load-balancing otherwise) while
     the per-run numbers stay bit-identical to the serial build. The
-    returned dict adds the scheduler's telemetry — per-device
-    utilization, deferrals and throughput — next to the paper's
-    improvement rows.
+    returned dict adds the scheduler's counters, counted from the fleet
+    journal — per-device utilization, deferrals and throughput — next
+    to the paper's improvement rows.
     """
     from repro.fleet import FleetExecutor
 
@@ -318,7 +318,7 @@ def fig13_fleet(
         with _recorded(executor, specs) as (store, query):
             comparisons = store.comparisons(query)
             stored = store.query_runs(query)
-        telemetry = executor.telemetry.snapshot()
+        telemetry = executor.telemetry()
         job_counts = executor.store.counts()
     rows = {
         m: _machine_row(m, its[m], _cell(comparisons, f"machine:{m}"))

@@ -13,14 +13,14 @@ Layers (bottom-up):
   advancing calibration snapshots, monitor traces, injected windows;
 * :mod:`~repro.fleet.store` — :class:`JobStore`: the job table of an
   experiment store, keyed by ``RunSpec`` content hash (resubmission
-  dedupes);
+  dedupes), and the journal every fleet counter is counted from;
 * :mod:`~repro.fleet.scheduler` — :class:`TransientAwareScheduler`:
   defer-or-route decisions from per-device transient verdicts;
 * :mod:`~repro.fleet.health` — :class:`DeviceHealth`: quarantine after
   consecutive failures/transients, probe-based re-admission;
 * :mod:`~repro.fleet.workers` — one worker thread per device;
 * :mod:`~repro.fleet.service` — :class:`FleetService`: submit / drain /
-  collect, plus telemetry;
+  collect, plus the service's counters (``telemetry()``);
 * :mod:`~repro.fleet.executor` — :class:`FleetExecutor`: the
   ``REPRO_EXECUTOR=fleet`` entry point for the plan runtime.
 
@@ -49,7 +49,6 @@ from repro.fleet.scheduler import (
 )
 from repro.fleet.service import FleetError, FleetService
 from repro.fleet.store import JobRecord, JobStore
-from repro.fleet.telemetry import FleetTelemetry
 
 __all__ = [
     "FLEET_DB_ENV",
@@ -59,7 +58,6 @@ __all__ = [
     "FleetError",
     "FleetExecutor",
     "FleetService",
-    "FleetTelemetry",
     "HealthConfig",
     "InjectedWindow",
     "JobRecord",

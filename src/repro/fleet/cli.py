@@ -1,4 +1,4 @@
-"""``python -m repro.fleet`` — submit plans, poll jobs, dump telemetry.
+"""``python -m repro.fleet`` — submit plans, poll jobs, count fleet events.
 
 Subcommands:
 
@@ -14,8 +14,8 @@ Subcommands:
 * ``status``  — per-status job counts and rows from a job store
   (``--expect done`` exits non-zero unless every job is done — the CI
   integration contract);
-* ``stats``   — accumulated per-device utilization / deferral /
-  throughput counters;
+* ``stats``   — per-device utilization / deferral / throughput
+  counters, counted from every row of the store's journal;
 * ``devices`` — the fleet's machines and their transient profiles.
 
 The job store path comes from ``--db`` or ``REPRO_FLEET_DB``; the file
@@ -80,7 +80,7 @@ def cmd_submit(args) -> int:
         timeout=args.timeout,
     ) as executor:
         outcome = executor.run_plan(plan)
-        snapshot = executor.telemetry.snapshot()
+        snapshot = executor.telemetry()
         rows = [
             [
                 run.run_id,
@@ -196,14 +196,14 @@ def cmd_status(args) -> int:
 
 
 def stats_payload(store: JobStore) -> dict:
-    """Assemble the ``stats`` view from the persisted telemetry rollup.
+    """Assemble the ``stats`` view from the store's journal.
 
-    The rollup is fed by the metrics-registry-backed
-    :class:`~repro.fleet.telemetry.FleetTelemetry` at the end of every
-    drain, so the stored-results breakdown here is the per-device
-    ``completed`` counters — no re-decoding of result payloads on every
-    call.  ``tests/test_fleet_cli.py`` pins this against the
-    store-derived numbers so the shortcut can never drift.
+    Every service that ever wrote to the file counts
+    (:meth:`JobStore.telemetry`), and the stored-results breakdown is
+    the per-device ``completed`` counters — the ``done`` rows, each
+    journaled with the device its payload was stored under — so no
+    result payload is decoded.  ``tests/test_fleet_cli.py`` pins this
+    against the store-derived numbers so the shortcut can never drift.
     """
     rollup = store.telemetry()
     devices = rollup["devices"]
@@ -237,7 +237,7 @@ def cmd_stats(args) -> int:
         return 0
     devices = payload["devices"]
     if not devices:
-        print("no telemetry recorded yet")
+        print("no fleet events journaled yet")
         return 0
     total_completed = payload["completed"] or 1
     rows = [
@@ -358,10 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     status.set_defaults(func=cmd_status)
 
-    stats = sub.add_parser("stats", help="dump the telemetry rollup")
+    stats = sub.add_parser(
+        "stats", help="per-device counters from the store's journal"
+    )
     stats.add_argument("--db", help=f"job store path (or {FLEET_DB_ENV})")
     stats.add_argument(
-        "--json", action="store_true", help="emit the rollup as JSON"
+        "--json", action="store_true", help="emit the counters as JSON"
     )
     stats.set_defaults(func=cmd_stats)
 

@@ -8,18 +8,18 @@ device fleet. Select it for any existing entry point with::
     REPRO_EXECUTOR=fleet            # optionally REPRO_FLEET_DB=path.db
     python examples/experiment_sweep.py
 
-or construct it directly for programmatic access to the scheduler
-telemetry::
+or construct it directly for programmatic access to the scheduler's
+counters, which the service counts from its journal rows::
 
     with FleetExecutor(db_path="fleet.db") as executor:
         outcome = executor.run_plan(plan)
-        print(executor.telemetry.snapshot())
+        print(executor.telemetry())
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.fleet.scheduler import SchedulerConfig
 from repro.fleet.service import FleetService
@@ -60,9 +60,9 @@ class FleetExecutor(BaseExecutor):
         self.hits = 0
         self.misses = 0
 
-    @property
-    def telemetry(self):
-        return self.service.telemetry
+    def telemetry(self) -> Dict[str, Any]:
+        """The service's counters (:meth:`FleetService.telemetry`)."""
+        return self.service.telemetry()
 
     @property
     def fleet(self):

@@ -18,7 +18,8 @@ quarantine by another window. Forced placements (defer budget exhausted)
 ignore quarantine so a fully-quarantined fleet still makes progress.
 
 Every quarantine is counted in :data:`repro.obs.METRICS` under
-``device.quarantined`` and mirrored in fleet telemetry.
+``device.quarantined``, and the fleet service journals it as a
+``quarantine`` row in its store.
 """
 
 from __future__ import annotations

@@ -9,12 +9,16 @@
 * the :class:`~repro.fleet.scheduler.TransientAwareScheduler` (routes jobs
   away from predicted transient windows, load-balances otherwise),
 * a :class:`~repro.fleet.workers.WorkerPool` (one thread per device running
-  the existing :func:`~repro.runtime.execute.execute_run` hot path),
-* :class:`~repro.fleet.telemetry.FleetTelemetry` (per-device utilization /
-  deferral / throughput counters).
+  the existing :func:`~repro.runtime.execute.execute_run` hot path).
+
+Every decision the service makes — a job placed, deferred, retried,
+failed or served from the store, a device quarantined — is a row in the
+store's journal, and :meth:`FleetService.telemetry` counts the rows of
+the service's own journal session into per-device utilization, deferral
+and throughput counters.
 
 Because every spec is fully seed-determined, *where* and *when* a job runs
-changes only the telemetry — results are bit-identical to the serial
+changes only those counters — results are bit-identical to the serial
 executor's, which is the invariant that makes fleet-scale execution safe
 to switch on via ``REPRO_EXECUTOR=fleet``.
 
@@ -30,15 +34,14 @@ from __future__ import annotations
 import threading
 import traceback
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.faults.inject import InjectedCrash
 from repro.faults.retry import RetryPolicy, call_with_retry
 from repro.fleet.health import DeviceHealth, HealthConfig
 from repro.fleet.registry import DeviceFleet, FleetDevice
 from repro.fleet.scheduler import SchedulerConfig, TransientAwareScheduler
-from repro.fleet.store import FAILED, RUNNING, JobStore
-from repro.fleet.telemetry import FLEET_WIDE, FleetTelemetry
+from repro.fleet.store import FAILED, FLEET_WIDE, JobStore
 from repro.obs import METRICS, TRACER, monotonic
 from repro.runtime.execute import execute_run
 from repro.runtime.results import PlanResult, RunResult
@@ -91,7 +94,6 @@ class FleetService:
         self.scheduler = TransientAwareScheduler(
             self.fleet, config=config, health=self.health
         )
-        self.telemetry = FleetTelemetry()
         self.execute = execute
         self._pending: deque = deque()
         self._inflight = 0
@@ -100,9 +102,6 @@ class FleetService:
         self._active: set = set()
         self._wake = threading.Condition()
         self._closed = False
-        #: telemetry counters already folded into the store's rollup.
-        self._persisted_counters: Dict[str, Dict[str, int]] = {}
-        self._persisted_span = 0
         #: run_ids that were satisfied straight from the store this session.
         self.store_hits = 0
         #: run_ids whose latest submission the store served (dedupe hits).
@@ -113,42 +112,11 @@ class FleetService:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def _persist_telemetry(self) -> None:
-        """Fold telemetry deltas since the last persist into the store.
-
-        Called at the end of every drain (and on close), so the rollup is
-        queryable by ``python -m repro.fleet stats`` even for callers that
-        never close the service explicitly (e.g. ``executor_for("fleet")``).
-        """
-        snapshot = self.telemetry.snapshot()
-        delta: Dict[str, Dict[str, int]] = {}
-        for device, counters in snapshot["devices"].items():
-            previous = self._persisted_counters.get(device, {})
-            changed = {
-                key: value - previous.get(key, 0)
-                for key, value in counters.items()
-            }
-            if any(changed.values()):
-                delta[device] = changed
-        first = self.telemetry.first_tick
-        span = 0 if first is None else self.telemetry.last_tick - first + 1
-        span_delta = span - self._persisted_span
-        if delta or span_delta:
-            self.store.accumulate_telemetry(
-                {"devices": delta, "ticks_elapsed": span_delta}
-            )
-            self._persisted_counters = {
-                device: dict(counters)
-                for device, counters in snapshot["devices"].items()
-            }
-            self._persisted_span = span
-
     def close(self) -> None:
-        """Persist any unflushed telemetry and close the store."""
+        """Close the store (see :meth:`_abort_drain` for stragglers)."""
         if self._closed:
             return
         self._closed = True
-        self._persist_telemetry()
         self.store.close()
 
     def __enter__(self) -> "FleetService":
@@ -170,6 +138,7 @@ class FleetService:
         if self._closed:
             raise RuntimeError("service is closed")
         run_ids: List[str] = []
+        hits: List[str] = []
         tick = self.clock.now()
         for spec in specs:
             run_ids.append(spec.run_id)
@@ -184,7 +153,7 @@ class FleetService:
             if record.is_done:
                 self.store_hits += 1
                 self._served.add(spec.run_id)
-                self.telemetry.record_cache_hit(spec.run_id, tick)
+                hits.append(spec.run_id)
                 continue
             self._served.discard(spec.run_id)
             with self._wake:
@@ -193,6 +162,8 @@ class FleetService:
                 self._active.add(spec.run_id)
                 self._pending.append(FleetJob(spec, attempts=record.attempts))
                 self._wake.notify_all()
+        if hits:
+            self.store.record_hits(hits, tick)
         return run_ids
 
     # -- dispatch loop ------------------------------------------------------
@@ -206,9 +177,9 @@ class FleetService:
         detail (resubmitting them re-queues cleanly) before the
         ``TimeoutError`` propagates — a timed-out drain never strands
         rows in ``running``. Worker threads live only for the duration
-        of the drain, and the telemetry rollup is persisted when it
-        ends — repeated drains on one service neither leak threads nor
-        lose counters.
+        of the drain: it joins them within what is left of ``timeout``
+        (nothing, once it has timed out), so repeated drains on one
+        service do not leak threads.
         """
         from repro.fleet.workers import WorkerPool
 
@@ -217,7 +188,6 @@ class FleetService:
         with self._wake:
             idle = not self._pending and self._inflight == 0
         if idle:  # all-hit submission: no threads to spin up
-            self._persist_telemetry()
             return
         self._warm_plan_cache()
         pool = WorkerPool(self.fleet, self._run_on_device)
@@ -250,36 +220,32 @@ class FleetService:
             raise
         finally:
             self._drain_span = None
-            pool.stop()
-            self._persist_telemetry()
+            pool.stop(deadline)
 
     def _abort_drain(self, timeout: Optional[float]) -> None:
         """Timeout cleanup: fail whatever the drain will not finish.
 
-        Pending jobs are failed outright; rows still ``running`` are
-        failed too, but a worker that completes after this sweep wins —
-        ``mark_done`` is idempotent and allowed from ``failed``, so a
-        straggler's success overwrites the timeout verdict rather than
-        colliding with it. ``_inflight`` is deliberately untouched: the
-        workers' own ``finally`` blocks decrement it.
+        Pending jobs are failed outright, and so are this service's jobs
+        still in flight (rows another service on the same store is
+        running are left alone). A worker that completes after this
+        sweep wins — ``mark_done`` is idempotent and allowed from
+        ``failed``, so a straggler's success overwrites the timeout
+        verdict rather than colliding with it — as long as the service
+        is open. After :meth:`close` a straggler meets a closed store
+        and records nothing: its row keeps the timeout's ``failed``
+        verdict, and ``drain --resume`` runs it again. ``_inflight`` is
+        deliberately untouched: the workers' own ``finally`` blocks
+        decrement it.
         """
         detail = f"timeout: drain exceeded {timeout}s"
         tick = self.clock.now()
         with self._wake:
-            stranded = list(self._pending)
+            stranded = [job.run_id for job in self._pending]
             self._pending.clear()
-            for job in stranded:
-                self._active.discard(job.run_id)
-        for job in stranded:
-            self.store.mark_failed(job.run_id, detail, tick)
-            self.telemetry.record_failed(
-                FLEET_WIDE, job.run_id, tick, detail=detail
-            )
-        for run_id in self.store.run_ids(status=RUNNING):
+            self._active.difference_update(stranded)
+            inflight = sorted(self._active)
+        for run_id in stranded + inflight:
             self.store.mark_failed(run_id, detail, tick)
-            self.telemetry.record_failed(
-                FLEET_WIDE, run_id, tick, detail=detail
-            )
 
     def _warm_plan_cache(self) -> None:
         """Compile each pending app's ansatz once before workers start.
@@ -323,37 +289,30 @@ class FleetService:
                 device=decision.device.name if decision.placed else None,
                 deferred_from=len(decision.deferred_from),
             )
-        for verdict in decision.deferred_from:
-            self.telemetry.record_deferred(
-                verdict.device,
-                job.run_id,
-                tick,
-                detail=(
-                    f"predicted={verdict.predicted:.3f}"
-                    f" cfar={verdict.cfar_flag}"
-                ),
-            )
-            if self.health.record_transient(verdict.device, tick):
-                self.telemetry.record_quarantined(
-                    verdict.device, tick, detail="consecutive transients"
-                )
+        deferrals: List[Tuple[Optional[str], str]] = [
+            (v.device, f"predicted={v.predicted:.3f} cfar={v.cfar_flag}")
+            for v in decision.deferred_from
+        ]
         if not decision.placed:
             # Whole fleet inside transient windows: QISMET-style deferral.
-            job.defers += 1
-            job.tried.clear()
-            self.store.record_defer(job.run_id)
-            self.telemetry.record_deferred(
-                FLEET_WIDE, job.run_id, tick, detail="all devices transient"
+            deferrals.append((None, "all devices transient"))
+        if deferrals:
+            spent = len(decision.deferred_from) if decision.placed else 1
+            job.defers += spent
+            self.store.record_defer(
+                job.run_id, spent, deferrals=deferrals, tick=tick
             )
+        for verdict in decision.deferred_from:
+            if self.health.record_transient(verdict.device, tick):
+                self.store.record_quarantine(
+                    job.run_id, verdict.device, tick, "consecutive transients"
+                )
+        if not decision.placed:
+            job.tried.clear()
             self.clock.advance()  # let the window pass
             with self._wake:
                 self._pending.append(job)
             return
-        if decision.deferred_from:
-            job.defers += len(decision.deferred_from)
-            self.store.record_defer(
-                job.run_id, count=len(decision.deferred_from)
-            )
         device = decision.device
         device.reserve()
         with self._wake:
@@ -369,8 +328,8 @@ class FleetService:
         retryable failure in the execute hook re-queues the job (with
         backoff on the simulated clock) until the retry budget runs out,
         any other failure fails the job; a failure in the harness itself
-        (store I/O, telemetry) also fails the job rather than killing the
-        device's worker thread and wedging the drain. An
+        (store I/O, a transient check) also fails the job rather than
+        killing the device's worker thread and wedging the drain. An
         :class:`InjectedCrash` simulates process death: the job's store
         row is left exactly as the "dying" transition left it, which is
         what the resume path recovers from.
@@ -397,15 +356,15 @@ class FleetService:
                 # execution: hand the job back for rerouting.
                 job.defers += 1
                 job.tried.append(device.name)
-                self.store.record_defer(job.run_id)
-                self.telemetry.record_deferred(
-                    device.name, job.run_id, tick, detail="pre-run re-check"
+                self.store.record_defer(
+                    job.run_id,
+                    deferrals=[(device.name, "pre-run re-check")],
+                    tick=tick,
                 )
                 span.set(outcome="deferred")
                 requeue = True
                 return
             self.store.mark_running(job.run_id, device.name, tick)
-            self.telemetry.record_scheduled(device.name, job.run_id, tick)
             try:
                 result = self.execute(job.spec)
             except InjectedCrash:
@@ -425,12 +384,6 @@ class FleetService:
                     )
                     job.tried.append(device.name)
                     METRICS.counter("retry.attempts").inc()
-                    self.telemetry.record_retried(
-                        device.name,
-                        job.run_id,
-                        self.clock.now(),
-                        detail=detail,
-                    )
                     self.clock.advance(
                         self.retry.backoff_ticks(job.run_id, job.attempts)
                     )
@@ -440,21 +393,16 @@ class FleetService:
                 if self.retry.is_retryable(exc):
                     METRICS.counter("retry.gave_up").inc()
                 self.store.mark_failed(job.run_id, detail, self.clock.now())
-                self.telemetry.record_failed(
-                    device.name, job.run_id, self.clock.now(), detail=detail
-                )
                 if self.health.record_failure(device.name, self.clock.now()):
-                    self.telemetry.record_quarantined(
+                    self.store.record_quarantine(
+                        job.run_id,
                         device.name,
                         self.clock.now(),
-                        detail="consecutive failures",
+                        "consecutive failures",
                     )
                 span.set(outcome="failed")
             else:
                 self.store.mark_done(job.run_id, result, self.clock.now())
-                self.telemetry.record_completed(
-                    device.name, job.run_id, self.clock.now()
-                )
                 self.health.record_success(device.name)
                 span.set(outcome="completed")
             finished = True
@@ -469,13 +417,12 @@ class FleetService:
         except Exception as exc:  # harness failure: fail the job, not the worker
             detail = f"fleet internal error on {device.name}: {exc!r}"
             try:
-                self.store.mark_failed(job.run_id, detail, self.clock.now())
-            # repro: allow-swallow — store down; telemetry still records it
+                self.store.mark_failed(
+                    job.run_id, detail, self.clock.now(), device=device.name
+                )
+            # repro: allow-swallow — store down: nothing can record it
             except Exception:
                 pass
-            self.telemetry.record_failed(
-                device.name, job.run_id, self.clock.now(), detail=detail
-            )
             span.set(outcome="error")
             finished = True
         finally:
@@ -547,12 +494,32 @@ class FleetService:
 
     # -- introspection -------------------------------------------------------
 
-    def status(self) -> Dict[str, Any]:
-        """Store counts + live telemetry in one JSON-able dict."""
+    def telemetry(self) -> Dict[str, Any]:
+        """This service's counters, from its own journal session.
+
+        Per-device ``scheduled``/``completed``/``failed``/``deferred``/
+        ``cache_hits``/``retries``/``quarantines`` (see
+        :meth:`JobStore.telemetry`), the number of real devices that
+        completed a job, total deferrals and completions, and completed
+        jobs per tick over the session's span. It reads the store, so
+        call it before :meth:`close`.
+        """
+        rollup = self.store.telemetry(own=True)
+        devices = rollup["devices"]
+        completed = {
+            name: counters["completed"]
+            for name, counters in devices.items()
+            if name != FLEET_WIDE
+        }
+        total = sum(completed.values())
         return {
-            "counts": self.store.counts(),
-            "clock": self.clock.now(),
-            "telemetry": self.telemetry.snapshot(),
+            "devices": devices,
+            "devices_used": sum(1 for n in completed.values() if n),
+            "total_deferrals": sum(c["deferred"] for c in devices.values()),
+            "total_completed": total,
+            "throughput_jobs_per_tick": (
+                total / rollup["ticks"] if rollup["ticks"] else 0.0
+            ),
         }
 
 

@@ -6,15 +6,20 @@ the same spec returns the stored result without re-executing anything
 (the spec's seed-determinism guarantees the stored payload is exactly
 what a fresh run would produce).
 
-The ``jobs`` and ``telemetry`` tables belong to the experiment store's
-versioned schema (:mod:`repro.store.schema`), so a fleet database *is*
-an :class:`~repro.store.ExperimentStore`, opened here as
+The ``jobs`` table belongs to the experiment store's versioned schema
+(:mod:`repro.store.schema`), so a fleet database *is* an
+:class:`~repro.store.ExperimentStore`, opened here as
 :attr:`JobStore.results`. The job table owns lifecycle only: a done
 job's payload is an ordinary store run — queryable, deduped, exportable
 with ``python -m repro.store`` pointed at the fleet db, and served as a
 hit by a ``CachedExecutor`` on the same file. All timestamps are
 fleet-clock ticks, keeping the store's contents reproducible
 run-over-run.
+
+The store's journal is the only record of what the fleet decided: every
+transition, deferral, cache hit and quarantine is one row, and the
+per-device counters (:meth:`JobStore.telemetry`) are counted from those
+rows — for one service, the rows of its own journal session.
 
 Crash safety: every transition and its journal event run as one
 :meth:`~repro.store.ExperimentStore.transaction` (one commit; a failed
@@ -41,12 +46,11 @@ import json
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.faults.inject import INJECTOR
 from repro.runtime.results import RunResult
 from repro.runtime.spec import RunSpec
-from repro.store.schema import FLEET_TICKS_KEY
 from repro.store.store import ExperimentStore
 
 #: Job lifecycle states.
@@ -56,6 +60,22 @@ DONE = "done"
 FAILED = "failed"
 
 STATUSES = (QUEUED, RUNNING, DONE, FAILED)
+
+#: Device label of journal rows no single machine owns: a deferral of
+#: the whole fleet, a cache hit, a job failed before any device took it.
+FLEET_WIDE = "(fleet)"
+
+#: Journal event -> the fleet counter it feeds, in snapshot order.
+COUNTERS = {
+    "running": "scheduled",
+    "done": "completed",
+    "failed": "failed",
+    "defer": "deferred",
+    "hit": "cache_hits",
+    "retry": "retries",
+    "quarantine": "quarantines",
+}
+
 
 @dataclass
 class JobRecord:
@@ -92,7 +112,7 @@ class JobRecord:
 
 
 class JobStore:
-    """Job table + telemetry rollup, kept in one experiment store.
+    """Job table and fleet journal, kept in one experiment store.
 
     ``path=":memory:"`` gives an ephemeral per-service store; a file path
     makes jobs (and their results) survive across processes, which is what
@@ -202,8 +222,14 @@ class JobStore:
                 tick=tick,
             )
 
-    def mark_failed(self, run_id: str, error: str, tick: int) -> None:
-        """Flip a job to ``failed`` (idempotent on already-failed rows)."""
+    def mark_failed(
+        self, run_id: str, error: str, tick: int, device: Optional[str] = None
+    ) -> None:
+        """Flip a job to ``failed`` (idempotent on already-failed rows).
+
+        The journal row names the row's device, else ``device`` (the
+        worker that failed a job before it claimed the row).
+        """
         with self.results.transaction() as conn:
             row = _row(conn, run_id, "status, device")
             if row["status"] in (DONE, FAILED):
@@ -215,7 +241,7 @@ class JobStore:
                 extra="error=?, finished_tick=?",
                 params=(str(error)[:2000], tick),
                 event="failed",
-                device=row["device"],
+                device=row["device"] or device,
                 tick=tick,
                 detail=str(error)[:200],
             )
@@ -250,12 +276,23 @@ class JobStore:
             )
             return attempts
 
-    def record_defer(self, run_id: str, count: int = 1) -> None:
-        """Count ``count`` deferrals against a job (job stays queued).
+    def record_defer(
+        self,
+        run_id: str,
+        count: int = 1,
+        *,
+        deferrals: Sequence[Tuple[Optional[str], str]] = (),
+        tick: int = 0,
+    ) -> None:
+        """Spend ``count`` of a job's defer budget (job stays queued).
 
-        Per-device/tick attribution lives in the telemetry layer; the
-        store keeps only the per-job total so ``status`` output and the
-        in-memory ``FleetJob.defers`` budget agree.
+        ``deferrals`` holds one ``(device, detail)`` pair per deferral
+        the dispatcher made — a device routed away from, or ``None`` for
+        a wait on the whole fleet — and each becomes a ``defer`` journal
+        row in the same transaction. ``count`` is what the job's
+        ``defers`` counter (and the in-memory ``FleetJob.defers``
+        budget) grows by: one per device routed away from, but one in
+        all for a whole-fleet wait, however many devices it skipped.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -264,6 +301,24 @@ class JobStore:
                 "UPDATE jobs SET defers = defers + ? WHERE run_id=?",
                 (count, run_id),
             )
+            for device, detail in deferrals:
+                self.results.journal_append(
+                    "defer", run_id, device=device, detail=detail, tick=tick
+                )
+
+    def record_hits(self, run_ids: Sequence[str], tick: int) -> None:
+        """Journal a submission's store hits, in one commit."""
+        with self.results.transaction():
+            for run_id in run_ids:
+                self.results.journal_append("hit", run_id, tick=tick)
+
+    def record_quarantine(
+        self, run_id: str, device: str, tick: int, detail: str
+    ) -> None:
+        """Journal a device's new quarantine, tipped over by ``run_id``."""
+        self.results.journal_append(
+            "quarantine", run_id, device=device, detail=detail, tick=tick
+        )
 
     def _transition(
         self, run_id: str, status: str, allowed, extra: str, params,
@@ -346,64 +401,44 @@ class JobStore:
         counts.update({row["status"]: row["n"] for row in rows})
         return counts
 
-    # -- telemetry rollup ---------------------------------------------------
+    # -- counters -------------------------------------------------------------
 
-    def accumulate_telemetry(self, snapshot: Dict[str, Any]) -> None:
-        """Fold a :meth:`FleetTelemetry.snapshot` into the persistent
-        rollup (counters add across service lifetimes)."""
-        with self.results.transaction() as conn:
-            for device, counters in snapshot.get("devices", {}).items():
-                conn.execute(
-                    "INSERT INTO telemetry"
-                    " (device, scheduled, completed, failed, deferred,"
-                    "  cache_hits, retries, quarantines)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
-                    " ON CONFLICT(device) DO UPDATE SET"
-                    "  scheduled = scheduled + excluded.scheduled,"
-                    "  completed = completed + excluded.completed,"
-                    "  failed = failed + excluded.failed,"
-                    "  deferred = deferred + excluded.deferred,"
-                    "  cache_hits = cache_hits + excluded.cache_hits,"
-                    "  retries = retries + excluded.retries,"
-                    "  quarantines = quarantines + excluded.quarantines",
-                    (
-                        device,
-                        counters.get("scheduled", 0),
-                        counters.get("completed", 0),
-                        counters.get("failed", 0),
-                        counters.get("deferred", 0),
-                        counters.get("cache_hits", 0),
-                        counters.get("retries", 0),
-                        counters.get("quarantines", 0),
-                    ),
-                )
-            # store_meta values are text; SQLite adds them as integers.
-            conn.execute(
-                "INSERT INTO store_meta (key, value) VALUES (?, ?)"
-                " ON CONFLICT(key) DO UPDATE SET value = value + excluded.value",
-                (FLEET_TICKS_KEY, str(int(snapshot.get("ticks_elapsed", 0)))),
-            )
+    def telemetry(self, own: bool = False) -> Dict[str, Any]:
+        """Per-device fleet counters and the tick total, from the journal.
 
-    def telemetry(self) -> Dict[str, Any]:
-        """The accumulated per-device rollup (plus total ticks)."""
-        rows = self.results.read("SELECT * FROM telemetry ORDER BY device")
-        ticks = self.results.read(
-            "SELECT value FROM store_meta WHERE key=?", (FLEET_TICKS_KEY,)
+        Each counter counts its event's journal rows (:data:`COUNTERS`);
+        rows without a device count under :data:`FLEET_WIDE`. The tick
+        total sums, over journal sessions, each session's span from its
+        first to its last counted row (rows journaled before schema v6
+        share session 0). ``own=True`` counts only this store's session,
+        which is empty until its first journal write.
+        """
+        where = f"event IN ({', '.join('?' * len(COUNTERS))})"
+        params: List[Any] = list(COUNTERS)
+        if own:
+            where += " AND session = ?"
+            params.append(self.results.session)
+        rows = self.results.read(
+            "SELECT session, device, event, COUNT(*) AS n,"
+            " MIN(tick) AS first, MAX(tick) AS last FROM journal"
+            f" WHERE {where} GROUP BY session, device, event",
+            params,
         )
+        devices: Dict[str, Dict[str, int]] = {}
+        spans: Dict[int, Tuple[int, int]] = {}
+        for row in rows:
+            counters = devices.setdefault(
+                row["device"] or FLEET_WIDE, dict.fromkeys(COUNTERS.values(), 0)
+            )
+            counters[COUNTERS[row["event"]]] += row["n"]
+            first, last = spans.get(row["session"], (row["first"], row["last"]))
+            spans[row["session"]] = (
+                min(first, row["first"]),
+                max(last, row["last"]),
+            )
         return {
-            "devices": {
-                row["device"]: {
-                    "scheduled": row["scheduled"],
-                    "completed": row["completed"],
-                    "failed": row["failed"],
-                    "deferred": row["deferred"],
-                    "cache_hits": row["cache_hits"],
-                    "retries": row["retries"],
-                    "quarantines": row["quarantines"],
-                }
-                for row in rows
-            },
-            "ticks": int(ticks[0]["value"]) if ticks else 0,
+            "devices": dict(sorted(devices.items())),
+            "ticks": sum(last - first + 1 for first, last in spans.values()),
         }
 
 

@@ -1,7 +1,7 @@
 """Per-device worker threads.
 
 One thread per fleet device, each draining its own FIFO queue. Workers are
-deliberately thin: all scheduling, persistence and telemetry logic lives
+deliberately thin: all scheduling and persistence logic lives
 in :class:`~repro.fleet.service.FleetService` (passed in as the
 ``execute`` callback), so the threading surface stays small and the
 interesting logic stays single-threaded-testable.
@@ -14,6 +14,7 @@ import threading
 from typing import Any, Callable, Dict, Optional
 
 from repro.fleet.registry import DeviceFleet, FleetDevice
+from repro.obs import monotonic
 
 #: Sentinel that tells a worker to exit its loop.
 _STOP = object()
@@ -71,11 +72,17 @@ class WorkerPool:
             raise RuntimeError("worker pool not started")
         self.workers[device_name].submit(job)
 
-    def stop(self, timeout: Optional[float] = 10.0) -> None:
+    def stop(self, deadline: Optional[float] = None) -> None:
+        """Stop every worker and join them until ``deadline`` (a
+        :func:`~repro.obs.monotonic` time; ``None`` waits for each to
+        finish its job). A worker still busy at the deadline finishes
+        in the background."""
         if not self._started:
             return
         for worker in self.workers.values():
             worker.stop()
         for worker in self.workers.values():
-            worker.join(timeout=timeout)
+            worker.join(
+                None if deadline is None else max(0.0, deadline - monotonic())
+            )
         self._started = False

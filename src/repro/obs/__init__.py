@@ -5,7 +5,8 @@ One substrate for every "where does the time go" question in the repo:
 - :mod:`repro.obs.trace` — context-managed span trees
   (``REPRO_TRACE=1`` enables, near-zero overhead when disabled).
 - :mod:`repro.obs.metrics` — always-on counters / gauges / histograms
-  (cache scoreboards, fleet telemetry, kernel byte/flop totals).
+  (cache scoreboards, retry and quarantine counts, kernel byte/flop
+  totals).
 - :mod:`repro.obs.clock` — the only sanctioned reader of ``time``
   (lint rule RPR106 keeps it that way).
 - :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto) and

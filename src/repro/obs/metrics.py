@@ -6,9 +6,10 @@ and fleet scheduling decisions.  The kernel dispatcher bumps its
 ``kernel.<class>.calls``/``.bytes`` counters on every gate, traced or
 not (a layered small-state program bumps them once per execution).
 
-The process-wide registry is :data:`METRICS`.  Subsystems that need an
-isolated namespace (e.g. per-service fleet telemetry) instantiate their
-own :class:`MetricsRegistry` and mirror totals into the global one.
+The process-wide registry is :data:`METRICS`.  A fresh
+:class:`MetricsRegistry` is an isolated namespace (the tests build one
+per case); fleet counters are not metrics at all but counts over the
+store's journal (:meth:`repro.fleet.store.JobStore.telemetry`).
 """
 
 from __future__ import annotations

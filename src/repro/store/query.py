@@ -1,7 +1,7 @@
 """Typed query surface of the experiment store.
 
 A :class:`RunQuery` is a declarative filter over the store's ``runs``
-table — every consumer (figure builders, fleet telemetry, the CLI)
+table — every consumer (figure builders, the fleet, the CLI)
 queries through it instead of writing SQL. :class:`StoredRun` is the
 typed row it returns: the indexed columns eagerly, the spec and result
 payload decoded lazily on first access.

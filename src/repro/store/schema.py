@@ -23,15 +23,19 @@ Version history:
 * **v4** — adds the ``journal`` table: a WAL-style, append-only record
   of job-lifecycle events (enqueue/running/retry/done/failed/…) written
   by the fleet's ``JobStore`` inside the same transactions as the
-  transitions they describe. The journal is what lets
-  ``python -m repro.fleet drain --resume`` reconstruct and finish a
-  killed sweep.
-* **v5** (current) — the fleet's ``jobs`` table (lifecycle only: the
-  payload lives in ``runs``/``blobs``) and its per-device ``telemetry``
-  rollup join the schema, so a fleet database *is* an experiment store.
-  The fleet clock total moves from the fleet's own ``meta`` table into
-  ``store_meta`` (:data:`FLEET_TICKS_KEY`); ``meta`` and the pre-store
-  inline ``jobs.result`` column are dropped.
+  transitions they describe. ``python -m repro.fleet drain --resume``
+  reads the ``jobs`` table, not the journal, to finish a killed sweep.
+* **v5** — the fleet's ``jobs`` table (lifecycle only: the payload
+  lives in ``runs``/``blobs``) and its per-device ``telemetry`` rollup
+  join the schema, so a fleet database *is* an experiment store. The
+  fleet clock total moves from the fleet's own ``meta`` table into
+  ``store_meta`` (``fleet_ticks``); ``meta`` and the pre-store inline
+  ``jobs.result`` column are dropped.
+* **v6** (current) — the journal is the only record of fleet events:
+  it also holds deferrals, cache hits and quarantines, and a
+  ``session`` column tells apart the stores that wrote it. Fleet
+  counters are queries over it, so the ``telemetry`` rollup and the
+  ``fleet_ticks`` total are dropped.
 
 Migrations move payload text **verbatim** — a v1 store migrated to v2
 serves bit-identical payloads (asserted in
@@ -46,7 +50,7 @@ import sqlite3
 from typing import Callable, Dict
 
 #: Current on-disk schema version.
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: The v1 layout, kept for migration tests and ``create_v1_store``.
 V1_SCHEMA = """
@@ -150,7 +154,7 @@ CREATE INDEX IF NOT EXISTS journal_run ON journal (run_id, seq);
 V4_SCHEMA = V3_SCHEMA + JOURNAL_SCHEMA
 
 #: v5 additions: the fleet's job lifecycle table (the payload of a done
-#: job lives in ``runs``/``blobs``) and its per-device telemetry rollup.
+#: job lives in ``runs``/``blobs``).
 FLEET_SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
     run_id      TEXT PRIMARY KEY,
@@ -165,35 +169,14 @@ CREATE TABLE IF NOT EXISTS jobs (
     finished_tick  INTEGER
 );
 CREATE INDEX IF NOT EXISTS jobs_status ON jobs (status);
-CREATE TABLE IF NOT EXISTS telemetry (
-    device      TEXT PRIMARY KEY,
-    scheduled   INTEGER NOT NULL DEFAULT 0,
-    completed   INTEGER NOT NULL DEFAULT 0,
-    failed      INTEGER NOT NULL DEFAULT 0,
-    deferred    INTEGER NOT NULL DEFAULT 0,
-    cache_hits  INTEGER NOT NULL DEFAULT 0,
-    retries     INTEGER NOT NULL DEFAULT 0,
-    quarantines INTEGER NOT NULL DEFAULT 0
-);
 """
 
-#: The current (v5) layout.
+#: What a new store lays down before the v5->v6 step: the v5 layout
+#: less the ``telemetry`` rollup that v6 drops.
 V5_SCHEMA = V4_SCHEMA + FLEET_SCHEMA
 
 #: Every table the current layout creates.
 _STORE_TABLES = tuple(re.findall(r"CREATE TABLE IF NOT EXISTS (\w+)", V5_SCHEMA))
-
-#: ``store_meta`` key of the fleet clock total (ticks, summed across
-#: service lifetimes).
-FLEET_TICKS_KEY = "fleet_ticks"
-
-#: Counters older fleet databases lack (the fleet added them on open
-#: before its tables joined the schema).
-_FLEET_COLUMNS = (
-    ("jobs", "attempts"),
-    ("telemetry", "retries"),
-    ("telemetry", "quarantines"),
-)
 
 
 class SchemaError(RuntimeError):
@@ -285,31 +268,43 @@ def _migrate_v3_to_v4(conn: sqlite3.Connection) -> None:
 
 
 def _migrate_v4_to_v5(conn: sqlite3.Connection) -> None:
-    """The fleet tables join the schema — run rows do not move.
+    """The fleet's job table joins the schema — run rows do not move.
 
-    Creates ``jobs``/``telemetry`` when absent, adds the counters older
-    fleet databases lack, moves the fleet clock total from ``meta`` into
-    ``store_meta`` and drops ``meta`` and the pre-store ``jobs.result``
-    column. Every part checks before it acts, so the step is safe to
-    run twice.
+    Creates ``jobs`` when absent, adds the ``attempts`` counter older
+    fleet databases lack, and drops the pre-store ``jobs.result`` column
+    and the fleet's ``meta`` table (its clock total would not outlive
+    the v5->v6 step). Every part checks before it acts, so the step is
+    safe to run twice.
     """
     _run_script(conn, FLEET_SCHEMA)
-    for table, column in _FLEET_COLUMNS:
-        if column not in _columns(conn, table):
-            conn.execute(
-                f"ALTER TABLE {table} ADD COLUMN {column}"
-                " INTEGER NOT NULL DEFAULT 0"
-            )
+    if "attempts" not in _columns(conn, "jobs"):
+        conn.execute(
+            "ALTER TABLE jobs ADD COLUMN attempts INTEGER NOT NULL DEFAULT 0"
+        )
     if "result" in _columns(conn, "jobs"):
         conn.execute("ALTER TABLE jobs DROP COLUMN result")
-    if "meta" in _tables(conn):
+    conn.execute("DROP TABLE IF EXISTS meta")
+
+
+def _migrate_v5_to_v6(conn: sqlite3.Connection) -> None:
+    """The journal becomes the only record of fleet events.
+
+    Adds ``journal.session`` (rows written before it share session 0),
+    drops the per-device ``telemetry`` rollup and deletes the
+    ``fleet_ticks`` clock total. Jobs, payloads and journal rows stay.
+    Fleet counters are then counted from the journal, which has held
+    every ``running``, ``done``, ``failed`` and ``retry`` event since
+    v4, so a migrated store's scheduled, completed, failed and retry
+    counts survive. Its deferral, cache-hit and quarantine counts and
+    its tick total lived only in the dropped rollup and are not
+    carried over.
+    """
+    if "session" not in _columns(conn, "journal"):
         conn.execute(
-            "INSERT INTO store_meta (key, value)"
-            " SELECT ?, value FROM meta WHERE key = 'ticks'"
-            " ON CONFLICT(key) DO UPDATE SET value=excluded.value",
-            (FLEET_TICKS_KEY,),
+            "ALTER TABLE journal ADD COLUMN session INTEGER NOT NULL DEFAULT 0"
         )
-        conn.execute("DROP TABLE meta")
+    conn.execute("DROP TABLE IF EXISTS telemetry")
+    conn.execute("DELETE FROM store_meta WHERE key = 'fleet_ticks'")
 
 
 #: Forward migrations: from-version -> migration function.
@@ -318,6 +313,7 @@ MIGRATIONS: Dict[int, Callable[[sqlite3.Connection], None]] = {
     2: _migrate_v2_to_v3,
     3: _migrate_v3_to_v4,
     4: _migrate_v4_to_v5,
+    5: _migrate_v5_to_v6,
 }
 
 
@@ -349,13 +345,14 @@ def ensure_schema(conn: sqlite3.Connection) -> int:
                     f"file holds table(s) {', '.join(clash)} but no store "
                     "schema version; refusing to adopt it"
                 )
+            # A new store starts from the v5 layout and takes the later
+            # steps like any v5 file.
             _run_script(conn, V5_SCHEMA)
-        else:
-            for step in range(version, SCHEMA_VERSION):
-                migrate = MIGRATIONS.get(step)
-                if migrate is None:
-                    raise SchemaError(f"no migration from store schema v{step}")
-                migrate(conn)
+        for step in range(version or 5, SCHEMA_VERSION):
+            migrate = MIGRATIONS.get(step)
+            if migrate is None:
+                raise SchemaError(f"no migration from store schema v{step}")
+            migrate(conn)
         _set_version(conn, SCHEMA_VERSION)
         conn.commit()
     except BaseException:

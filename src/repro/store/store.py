@@ -81,6 +81,9 @@ class ExperimentStore:
         self._conn.row_factory = sqlite3.Row
         self._lock = threading.RLock()
         self._depth = 0  # open transaction() blocks (owner thread only)
+        #: This connection's ``journal.session``, claimed by its first
+        #: journal write (``None`` until then).
+        self.session: Optional[int] = None
         try:
             self.migrated_from = ensure_schema(self._conn)
         except BaseException:
@@ -90,7 +93,10 @@ class ExperimentStore:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        self._conn.close()
+        """Close the connection once no statement is in flight: a thread
+        that calls in afterwards gets ``sqlite3.ProgrammingError``."""
+        with self._lock:
+            self._conn.close()
 
     def __enter__(self) -> "ExperimentStore":
         return self
@@ -114,6 +120,7 @@ class ExperimentStore:
         """
         with self._lock:
             self._depth += 1
+            session = self.session
             try:
                 if self._depth == 1:
                     self._begin()
@@ -123,6 +130,8 @@ class ExperimentStore:
             except BaseException:
                 if self._depth == 1:
                     self._conn.rollback()
+                    # A session claimed by rows that rolled back is free.
+                    self.session = session
                 raise
             finally:
                 self._depth -= 1
@@ -309,13 +318,23 @@ class ExperimentStore:
         The journal is append-only and ordered by ``seq``, so replaying
         it reconstructs the exact lifecycle of a sweep — including one
         that died mid-drain. The fleet's ``JobStore`` writes an event in
-        the same transaction as every job transition.
+        the same transaction as every job transition and decision. Each
+        row carries this connection's :attr:`session`: the first write
+        claims ``MAX(session) + 1`` under the file's write lock, so two
+        stores on one file never share one.
         """
         with self.transaction() as conn:
+            if self.session is None:
+                self.session = conn.execute(
+                    "SELECT COALESCE(MAX(session), 0) + 1 FROM journal"
+                ).fetchone()[0]
             cursor = conn.execute(
-                "INSERT INTO journal (tick, event, run_id, device, attempt,"
-                " detail) VALUES (?, ?, ?, ?, ?, ?)",
-                (int(tick), event, run_id, device, int(attempt), detail),
+                "INSERT INTO journal (session, tick, event, run_id, device,"
+                " attempt, detail) VALUES (?, ?, ?, ?, ?, ?, ?)",
+                (
+                    self.session, int(tick), event, run_id, device,
+                    int(attempt), detail,
+                ),
             )
         METRICS.counter("store.journal_appends").inc()
         return int(cursor.lastrowid)
@@ -325,8 +344,8 @@ class ExperimentStore:
     ) -> List[Dict[str, Any]]:
         """Journal events in append order (optionally for one run)."""
         sql = (
-            "SELECT seq, tick, event, run_id, device, attempt, detail"
-            " FROM journal"
+            "SELECT seq, session, tick, event, run_id, device, attempt,"
+            " detail FROM journal"
         )
         params: List[Any] = []
         if run_id is not None:

@@ -68,7 +68,7 @@ def test_fleet_demo_plan_and_reduced_run(tmp_path):
     with FleetExecutor(db_path=db) as executor:
         executor.fleet.inject_transient("toronto", 0, 100, magnitude=0.8)
         executor.run_plan(plan)
-        assert executor.telemetry.snapshot()["devices"]["toronto"]["deferred"] >= 1
+        assert executor.telemetry()["devices"]["toronto"]["deferred"] >= 1
     with FleetExecutor(db_path=db) as executor:
         again = executor.run_plan(plan)
         assert executor.hits == 1 and all(r.from_cache for r in again)

@@ -121,8 +121,12 @@ def test_retry_lifecycle_recorded_in_journal():
             entry["event"]
             for entry in service.store.results.journal_entries(spec.run_id)
         ]
-        snapshot = service.telemetry.snapshot()
-    assert events == ["enqueue", "running", "retry", "running", "done"]
+        snapshot = service.telemetry()
+    # after the retry, cairo (in a transient window) and then the whole
+    # fleet defer the job before toronto runs it again
+    assert events == [
+        "enqueue", "running", "retry", "defer", "defer", "running", "done",
+    ]
     retried = sum(
         counters.get("retries", 0)
         for counters in snapshot["devices"].values()
@@ -382,6 +386,46 @@ def test_drain_timeout_strands_no_running_rows():
     finally:
         release.set()
         service.close()
+
+
+def test_drain_timeout_fails_only_its_own_jobs(tmp_path):
+    """A timed-out drain fails the jobs it owns, not a row another
+    service on the same store is running."""
+    db = str(tmp_path / "fleet.db")
+    started, release = threading.Event(), threading.Event()
+
+    def gated_execute(run_spec):
+        started.set()
+        assert release.wait(60)
+        return execute_run(run_spec)
+
+    def wedged_execute(run_spec):
+        assert release.wait(60)
+        return execute_run(run_spec)
+
+    own, other = SPECS[0], SPECS[1]
+    timed_out = FleetService(machines=["toronto"], db_path=db, execute=wedged_execute)
+    busy = FleetService(machines=["cairo"], db_path=db, execute=gated_execute)
+    busy.submit([other])
+    drainer = threading.Thread(target=busy.drain, kwargs={"timeout": 120})
+    drainer.start()
+    try:
+        assert started.wait(60)
+        timed_out.submit([own])
+        with pytest.raises(TimeoutError):
+            timed_out.drain(timeout=0.3)
+        assert timed_out.store.fetch(own.run_id).status == FAILED
+        assert timed_out.store.fetch(other.run_id).status == RUNNING
+        events = [
+            entry["event"]
+            for entry in timed_out.store.results.journal_entries(other.run_id)
+        ]
+        assert "failed" not in events
+    finally:
+        release.set()
+        drainer.join(timeout=120)
+        timed_out.close()
+        busy.close()
 
 
 # -- degradation ---------------------------------------------------------------

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from repro.fleet import FleetError, FleetExecutor, FleetService
-from repro.fleet.store import DONE, FAILED
-from repro.fleet.telemetry import FLEET_WIDE
+from repro.fleet.store import DONE, FAILED, FLEET_WIDE
 from repro.runtime import ExperimentPlan, RunSpec, SerialExecutor
 
 PLAN = ExperimentPlan(
@@ -36,7 +35,7 @@ def test_fleet_results_bit_identical_to_serial():
 def test_jobs_distribute_across_at_least_three_devices():
     with FleetExecutor() as executor:
         executor.run_plan(PLAN)
-        snapshot = executor.telemetry.snapshot()
+        snapshot = executor.telemetry()
     assert snapshot["devices_used"] >= 3
     assert snapshot["total_completed"] == 8
 
@@ -49,7 +48,7 @@ def test_injected_transient_window_defers_jobs():
     service.fleet.inject_transient("toronto", start=0, length=300, magnitude=0.9)
     spec = RunSpec(app="App1", scheme="baseline", iterations=5, seed=7)
     results = service.run_specs([spec], timeout=120)
-    snapshot = service.telemetry.snapshot()
+    snapshot = service.telemetry()
     assert snapshot["devices"]["toronto"]["deferred"] >= 1
     assert snapshot["devices"]["toronto"]["completed"] == 0
     record = service.store.fetch(spec.run_id)
@@ -67,7 +66,7 @@ def test_whole_fleet_transient_defers_then_recovers():
         service.fleet.inject_transient(name, start=0, length=4, magnitude=0.9)
     spec = RunSpec(app="App1", scheme="noise-free", iterations=3, seed=5)
     service.run_specs([spec], timeout=120)
-    snapshot = service.telemetry.snapshot()
+    snapshot = service.telemetry()
     assert snapshot["devices"][FLEET_WIDE]["deferred"] >= 1
     assert service.clock.now() > 4  # the clock waited out the window
     assert service.store.counts()[DONE] == 1
@@ -84,7 +83,7 @@ def test_resubmission_hits_store_and_reexecutes_nothing(tmp_path):
         second = executor.run_plan(PLAN)
         assert executor.hits == 8 and executor.misses == 0
         assert all(run.from_cache for run in second)
-        assert executor.telemetry.snapshot()["total_completed"] == 0
+        assert executor.telemetry()["total_completed"] == 0
     for first_run, second_run in zip(first, second):
         assert first_run.to_dict()["result"] == second_run.to_dict()["result"]
 
@@ -94,7 +93,7 @@ def test_duplicate_specs_execute_once():
     with FleetExecutor() as executor:
         results = executor.run([spec, spec, spec])
         assert len(results) == 3
-        assert executor.telemetry.snapshot()["total_completed"] == 1
+        assert executor.telemetry()["total_completed"] == 1
     assert (
         results[0].to_dict()["result"]
         == results[1].to_dict()["result"]
@@ -155,7 +154,7 @@ def test_double_submit_before_drain_executes_once():
     service.submit([spec])
     service.submit([spec])  # resubmission attaches to the queued job
     service.drain(timeout=120)
-    assert service.telemetry.snapshot()["total_completed"] == 1
+    assert service.telemetry()["total_completed"] == 1
     assert service.store.counts()[DONE] == 1
     service.close()
 

@@ -1,4 +1,4 @@
-"""Job store: lifecycle transitions, dedupe, persistence, telemetry rollup."""
+"""Job store: lifecycle transitions, dedupe, persistence."""
 
 import threading
 
@@ -224,24 +224,3 @@ def test_result_payload_delegated_to_experiment_store():
         with store.results.transaction() as conn:
             columns = {row["name"] for row in conn.execute("PRAGMA table_info(jobs)")}
         assert "result" not in columns
-
-
-def test_telemetry_rollup_accumulates(tmp_path):
-    db = tmp_path / "fleet.db"
-    snapshot = {
-        "devices": {
-            "toronto": {
-                "scheduled": 2, "completed": 2, "failed": 0,
-                "deferred": 1, "cache_hits": 0,
-            },
-        },
-        "ticks_elapsed": 7,
-    }
-    with JobStore(db) as store:
-        store.accumulate_telemetry(snapshot)
-    with JobStore(db) as store:
-        store.accumulate_telemetry(snapshot)
-        rollup = store.telemetry()
-    assert rollup["devices"]["toronto"]["completed"] == 4
-    assert rollup["devices"]["toronto"]["deferred"] == 2
-    assert rollup["ticks"] == 14

@@ -1,6 +1,8 @@
 """Experiment store: content addressing, queries, aggregates, maintenance."""
 
 import json
+import os
+import subprocess
 import sys
 import threading
 
@@ -320,6 +322,69 @@ def test_threads_sharing_a_store_commit_whole_transactions(tmp_path):
         f"w{i}-{step}" for i in range(8) for step in range(0, 40, 2)
     )
     assert all(events == ["first", "second"] for events in by_run.values())
+
+
+#: One thread opens transactions in a loop while the main thread closes
+#: the store under it, 300 times over.
+_CLOSE_RACE = """
+import sqlite3, threading
+from repro.store import ExperimentStore
+
+closed = 0
+for _ in range(300):
+    store = ExperimentStore(":memory:")
+    started = threading.Event()
+    outcome = []
+
+    def spin():
+        started.set()
+        try:
+            while True:
+                with store.transaction():
+                    pass
+        except sqlite3.ProgrammingError:
+            outcome.append("closed")
+
+    worker = threading.Thread(target=spin)
+    worker.start()
+    started.wait()
+    store.close()
+    worker.join()
+    closed += outcome == ["closed"]
+print(closed)
+"""
+
+
+def test_close_under_a_running_transaction_raises_instead_of_crashing():
+    """close() waits for the statement in flight: the other thread's next
+    call raises ``sqlite3.ProgrammingError`` and the interpreter lives."""
+    result = subprocess.run(
+        [sys.executable, "-c", _CLOSE_RACE],
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "300"
+
+
+def test_rolled_back_journal_write_frees_its_session(tmp_path):
+    db = tmp_path / "store.sqlite"
+    with ExperimentStore(db) as first, ExperimentStore(db) as second:
+        with pytest.raises(KeyError):
+            with first.transaction():
+                first.journal_append("enqueue", "r1")
+                assert first.session == 1
+                raise KeyError("roll back")
+        assert first.session is None
+        second.journal_append("enqueue", "r2")
+        first.journal_append("enqueue", "r3")
+        assert (second.session, first.session) == (1, 2)
+        assert [
+            (entry["run_id"], entry["session"])
+            for entry in first.journal_entries()
+        ] == [("r2", 1), ("r3", 2)]
 
 
 def test_aggregate_materialized_requires_materialize(store):

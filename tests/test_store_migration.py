@@ -12,6 +12,7 @@ from repro.fleet.store import DONE, QUEUED, RUNNING
 from repro.runtime import CachedExecutor, ExperimentPlan, RunSpec, SerialExecutor
 from repro.store import ExperimentStore, RunQuery, SchemaError, payload_hash
 from repro.store.schema import (
+    FLEET_SCHEMA,
     MIGRATIONS,
     SCHEMA_VERSION,
     V3_SCHEMA,
@@ -333,9 +334,11 @@ def _tables_and_columns(path):
 
 @pytest.mark.parametrize("name", ["fleet.db", "fleet"])
 def test_v4_fleet_db_opens_at_v5_and_resumes(tmp_path, name, capsys):
-    """A v4 fleet database (any suffix) migrates in place: jobs,
-    attempts, telemetry and the clock total survive, and
-    ``drain --resume`` finishes the stranded job."""
+    """A v4 fleet database (any suffix) migrates in place to the
+    current version: jobs, attempts and journal rows survive, the
+    counters are counted from the journal (the dropped rollup's retry
+    and its clock total are not carried over), and ``drain --resume``
+    finishes the stranded job."""
     db = tmp_path / name
     done = _v4_fleet_db(db)
 
@@ -346,15 +349,18 @@ def test_v4_fleet_db_opens_at_v5_and_resumes(tmp_path, name, capsys):
         assert store.fetch(DONE_SPEC.run_id).attempts == 1
         assert store.result(DONE_SPEC.run_id) == done
         rollup = store.telemetry()
-        assert rollup["ticks"] == 9
-        assert rollup["devices"]["toronto"]["retries"] == 1
+        # the journal's running rows at ticks 1 and 3 span 3 ticks
+        assert rollup["ticks"] == 3
+        assert rollup["devices"]["toronto"]["completed"] == 1
+        assert rollup["devices"]["toronto"]["retries"] == 0
         assert rollup["devices"]["cairo"]["scheduled"] == 1
         assert len(store.results.journal_entries()) == 5
     tables = _tables_and_columns(db)
     assert "meta" not in tables and "result" not in tables["jobs"]
+    assert "telemetry" not in tables and "session" in tables["journal"]
 
     assert fleet_main(["stats", "--db", str(db), "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["ticks"] == 9
+    assert json.loads(capsys.readouterr().out)["ticks"] == 3
 
     argv = ["drain", "--resume", "--db", str(db), "--machines", *FLEET_MACHINES]
     assert fleet_main(argv) == 0
@@ -366,7 +372,7 @@ def test_v4_fleet_db_opens_at_v5_and_resumes(tmp_path, name, capsys):
         assert store.result(STRANDED_SPEC.run_id) == SerialExecutor().run_one(
             STRANDED_SPEC
         )
-        assert store.telemetry()["ticks"] > 9
+        assert store.telemetry()["ticks"] > 3
         events = [e["event"] for e in store.results.journal_entries(STRANDED_SPEC.run_id)]
     assert events == ["enqueue", "running", "requeue", "running", "done"]
 
@@ -385,21 +391,127 @@ def test_v3_fleet_db_gains_the_late_columns(tmp_path):
     with JobStore(db) as store:
         assert store.results.migrated_from == 3
         assert store.fetch(DONE_SPEC.run_id).attempts == 0
-        counters = store.telemetry()["devices"]["toronto"]
-        assert counters["completed"] == 4
-        assert counters["retries"] == counters["quarantines"] == 0
-        assert store.telemetry()["ticks"] == 0
+        # The rollup's 4 completions are not carried over: a v3 file
+        # has no journal to count them from.
+        assert store.telemetry() == {"devices": {}, "ticks": 0}
     tables = _tables_and_columns(db)
     assert "attempts" in tables["jobs"] and "result" not in tables["jobs"]
-    assert {"retries", "quarantines"} <= tables["telemetry"]
+    assert "telemetry" not in tables and "session" in tables["journal"]
     assert "journal" in tables and "meta" not in tables
 
-    # The v4->v5 step is safe to run twice.
+    # The v4->v5 and v5->v6 steps are safe to run twice.
     conn = sqlite3.connect(str(db))
     MIGRATIONS[4](conn)
+    MIGRATIONS[5](conn)
     conn.commit()
     conn.close()
     assert _tables_and_columns(db) == tables
+
+
+#: The per-device rollup v5 laid down next to ``jobs`` (v6 drops it).
+TELEMETRY_V5_DDL = """
+CREATE TABLE telemetry (
+    device      TEXT PRIMARY KEY,
+    scheduled   INTEGER NOT NULL DEFAULT 0,
+    completed   INTEGER NOT NULL DEFAULT 0,
+    failed      INTEGER NOT NULL DEFAULT 0,
+    deferred    INTEGER NOT NULL DEFAULT 0,
+    cache_hits  INTEGER NOT NULL DEFAULT 0,
+    retries     INTEGER NOT NULL DEFAULT 0,
+    quarantines INTEGER NOT NULL DEFAULT 0
+);
+"""
+
+
+def test_v5_fleet_db_drops_the_rollup_and_resumes(tmp_path, capsys):
+    """A v5 fleet database opens at v6: the ``telemetry`` rollup and the
+    ``fleet_ticks`` total are gone, ``journal.session`` exists, jobs,
+    payloads and journal rows are intact, and ``drain --resume``
+    finishes the stranded job."""
+    db = tmp_path / "fleet.db"
+    done = SerialExecutor().run_one(DONE_SPEC)
+    conn = _old_fleet_db(db, V4_SCHEMA + FLEET_SCHEMA, 5, TELEMETRY_V5_DDL)
+    _store_run(conn, done, "toronto")
+    conn.executemany(
+        "INSERT INTO jobs (run_id, spec, status, device, defers,"
+        " submitted_tick, started_tick, finished_tick)"
+        " VALUES (?, ?, ?, ?, ?, 0, ?, ?)",
+        [
+            (DONE_SPEC.run_id, json.dumps(DONE_SPEC.to_dict()), DONE,
+             "toronto", 2, 1, 2),
+            (STRANDED_SPEC.run_id, json.dumps(STRANDED_SPEC.to_dict()),
+             RUNNING, "cairo", 0, 3, None),
+        ],
+    )
+    journal = [
+        (0, "enqueue", DONE_SPEC.run_id, None),
+        (0, "enqueue", STRANDED_SPEC.run_id, None),
+        (1, "running", DONE_SPEC.run_id, "toronto"),
+        (2, "done", DONE_SPEC.run_id, "toronto"),
+        (3, "running", STRANDED_SPEC.run_id, "cairo"),
+    ]
+    conn.executemany(
+        "INSERT INTO journal (tick, event, run_id, device) VALUES (?, ?, ?, ?)",
+        journal,
+    )
+    conn.execute(
+        "INSERT INTO telemetry (device, scheduled, completed, deferred,"
+        " cache_hits, quarantines) VALUES ('toronto', 1, 1, 2, 5, 1),"
+        " ('cairo', 1, 0, 0, 0, 0)"
+    )
+    conn.execute("INSERT INTO store_meta (key, value) VALUES ('fleet_ticks', '9')")
+    conn.commit()
+    conn.close()
+
+    with JobStore(db) as store:
+        assert store.results.migrated_from == 5
+        assert store.counts() == {QUEUED: 0, RUNNING: 1, DONE: 1, "failed": 0}
+        assert store.fetch(DONE_SPEC.run_id).defers == 2
+        assert store.result(DONE_SPEC.run_id) == done
+        entries = store.results.journal_entries()
+        assert [
+            (e["tick"], e["event"], e["run_id"], e["device"]) for e in entries
+        ] == journal
+        assert {e["session"] for e in entries} == {0}
+        # Counted from the journal: the rollup's deferrals, cache hits,
+        # quarantine and clock total are not carried over.
+        assert store.telemetry() == {
+            "devices": {
+                "cairo": dict(
+                    scheduled=1, completed=0, failed=0, deferred=0,
+                    cache_hits=0, retries=0, quarantines=0,
+                ),
+                "toronto": dict(
+                    scheduled=1, completed=1, failed=0, deferred=0,
+                    cache_hits=0, retries=0, quarantines=0,
+                ),
+            },
+            "ticks": 3,
+        }
+    tables = _tables_and_columns(db)
+    assert "telemetry" not in tables and "session" in tables["journal"]
+    conn = sqlite3.connect(str(db))
+    try:
+        keys = {key for (key,) in conn.execute("SELECT key FROM store_meta")}
+    finally:
+        conn.close()
+    assert keys == {"schema_version"}
+
+    argv = ["drain", "--resume", "--db", str(db), "--machines", *FLEET_MACHINES]
+    assert fleet_main(argv) == 0
+    out = capsys.readouterr().out
+    assert "1 recovered" in out and "done=2" in out
+    with JobStore(db) as store:
+        assert store.results.migrated_from == SCHEMA_VERSION
+        assert store.counts()[DONE] == 2
+        assert store.result(STRANDED_SPEC.run_id) == SerialExecutor().run_one(
+            STRANDED_SPEC
+        )
+        # the resuming service journaled under a session of its own,
+        # and stats counts the done rows of both sessions
+        assert {e["session"] for e in store.results.journal_entries()} == {0, 1}
+        devices = store.telemetry()["devices"].values()
+        assert sum(counters["completed"] for counters in devices) == 2
 
 
 @pytest.mark.parametrize(
