@@ -21,8 +21,8 @@ import numpy as np
 
 from repro.ansatz.efficient_su2 import EfficientSU2
 from repro.experiments.registry import get_app
-from repro.experiments.runner import run_comparison
 from repro.hamiltonians.tfim import tfim_hamiltonian
+from repro.runtime import ExperimentPlan, executor_for
 from repro.vqa.objective import EnergyObjective
 
 QUBITS = 8
@@ -97,7 +97,8 @@ def test_fig17_scale_end_to_end(record_benchmark):
     app = get_app("App1")
 
     def run():
-        return run_comparison(app, ("baseline", "qismet"), iterations=25, seed=2023)
+        plan = ExperimentPlan.single(app, ("baseline", "qismet"), 25, seed=2023)
+        return executor_for().run_plan(plan).comparison(app.name)
 
     comparison = record_benchmark(
         "fig17_scale_app1_2schemes_25it",

@@ -6,8 +6,7 @@ it on the environment-selected executor (``REPRO_EXECUTOR=serial``,
 through a store-backed CachedExecutor twice to show that the second
 pass is served entirely from the store (identical numbers, ~zero cost)
 and that the store's query/aggregate API reproduces the figure-builder
-numbers bit-for-bit — including from the incrementally materialized
-view.
+numbers bit-for-bit.
 
 Run:  python examples/experiment_sweep.py
       REPRO_STORE=results.sqlite python examples/experiment_sweep.py
@@ -90,16 +89,10 @@ def main() -> None:
         info = store.info()
         print(f"  {info['runs']} runs, {info['blobs']} blobs "
               f"({info['payload_bytes']} payload bytes) at {info['path']}")
-        direct = store.aggregate(query)
-        print(f"  aggregate (direct):       {direct}")
-        summary = store.materialize()
-        print(f"  materialize: {summary['updated_cells']}/"
-              f"{summary['total_cells']} cells, "
-              f"watermark {summary['watermark']}")
-        materialized = store.aggregate_materialized()
-        print(f"  aggregate (materialized): {materialized}")
+        aggregate = store.aggregate(query)
+        print(f"  aggregate: {aggregate}")
         print(f"  store matches PlanResult bit-for-bit: "
-              f"{direct == warm.geomean_improvements() == materialized}")
+              f"{aggregate == warm.geomean_improvements()}")
         store.close()
 
 

@@ -219,12 +219,12 @@ class GatePlan:
         ``angles`` is the output of :meth:`bind_angles`; kinds sharing a
         builder are constructed in one stacked call each.
         """
-        materialized: List[Optional[np.ndarray]] = [None] * self.num_param_ops
+        matrices: List[Optional[np.ndarray]] = [None] * self.num_param_ops
         for kind, slots in self._kind_slots.items():
             stacked = stacked_gate_matrices(kind, angles[slots])
             for position, slot in enumerate(slots):
-                materialized[slot] = stacked[position]
-        return materialized
+                matrices[slot] = stacked[position]
+        return matrices
 
     def op_matrices(
         self, theta: Sequence[float]

@@ -18,7 +18,7 @@ from repro.circuits.library import layered_cx_circuit
 from repro.experiments.config import default_iterations
 from repro.experiments.metrics import tail_energy
 from repro.experiments.registry import APPLICATIONS, get_app, machine_app
-from repro.experiments.runner import geomean_improvements, run_comparison
+from repro.experiments.runner import geomean_improvements
 from repro.experiments.schemes import build_vqe
 from repro.noise.noise_model import NoiseModel
 from repro.noise.transient.t1_model import T1FluctuationModel, t1_to_error_fraction
@@ -47,8 +47,8 @@ def _recorded(executor, specs: Sequence[RunSpec]):
     Yields ``(store, query)`` after recording the results: in the
     executor's own store when it has one (``CachedExecutor``/fleet —
     where they already landed; ``append`` is a dedupe no-op then) or in
-    :func:`repro.store.open_store` otherwise. The figure builders read
-    result data exclusively through this store + :class:`RunQuery` pair.
+    :func:`repro.store.open_store` otherwise. Figs. 13 and 17 read
+    their results through this store + :class:`RunQuery` pair.
     """
     runs = executor.run(list(specs))
     store = _result_store(executor)
@@ -154,10 +154,10 @@ def fig5_vqa_transient_impact(
     stagnation (expectation at iteration ~20 % vs the end)."""
     iterations = iterations or default_iterations(500, 250)
     app = get_app("App6")
-    comp = run_comparison(
-        app, ["baseline"], iterations=iterations, seed=seed, trace_scale=1.5,
-        executor=executor,
+    plan = ExperimentPlan.single(
+        app, ["baseline"], iterations, seed=seed, trace_scale=1.5
     )
+    comp = (executor or executor_for()).run_plan(plan).comparison(app.name)
     result = comp.results["baseline"]
     energies = result.machine_energies
     early_index = max(1, int(0.2 * len(energies)))
@@ -252,11 +252,34 @@ def machine_run(
 ) -> Dict:
     """Synchronous baseline-vs-QISMET comparison on one machine (Figs. 11/12)."""
     iterations = _machine_iterations(machine, iterations)
-    comp = run_comparison(
-        machine_app(machine), ["baseline", "qismet"],
-        iterations=iterations, seed=seed, executor=executor,
-    )
+    app = machine_app(machine)
+    plan = ExperimentPlan.single(app, ["baseline", "qismet"], iterations, seed=seed)
+    comp = (executor or executor_for()).run_plan(plan).comparison(app.name)
     return _machine_row(machine, iterations, comp)
+
+
+def _fig13_specs(seed: int, iterations: Optional[int]):
+    """Fig. 13's grid (6 machines x baseline/QISMET) and each machine's
+    iteration count."""
+    its = {m: _machine_iterations(m, iterations) for m in MACHINE_ITERATIONS}
+    specs = [
+        RunSpec(app=machine_app(m), scheme=scheme, iterations=its[m], seed=seed)
+        for m in MACHINE_ITERATIONS
+        for scheme in ("baseline", "qismet")
+    ]
+    return its, specs
+
+
+def _fig13_rows(store: ExperimentStore, query: RunQuery, its: Dict) -> Dict:
+    """Per-machine rows and the QISMET geomean of a recorded Fig. 13 grid."""
+    comparisons = store.comparisons(query)
+    return {
+        "machines": {
+            m: _machine_row(m, its[m], _cell(comparisons, f"machine:{m}"))
+            for m in MACHINE_ITERATIONS
+        },
+        "geomean_improvement": store.aggregate(query)["qismet"],
+    }
 
 
 def fig13_machines(
@@ -266,24 +289,13 @@ def fig13_machines(
 
     All machines' runs (6 machines x 2 schemes) are expanded up front and
     handed to one executor call, so a parallel executor fans the whole
-    figure out across cores at once; the per-machine comparisons are then
-    read back through the experiment store's query API.
+    figure out across cores at once; the per-machine comparisons and
+    their geomean are then read back through the experiment store's
+    query API.
     """
-    its = {m: _machine_iterations(m, iterations) for m in MACHINE_ITERATIONS}
-    specs = [
-        RunSpec(app=machine_app(m), scheme=scheme, iterations=its[m], seed=seed)
-        for m in MACHINE_ITERATIONS
-        for scheme in ("baseline", "qismet")
-    ]
+    its, specs = _fig13_specs(seed, iterations)
     with _recorded(executor or executor_for(), specs) as (store, query):
-        comparisons = store.comparisons(query)
-    rows = {
-        m: _machine_row(m, its[m], _cell(comparisons, f"machine:{m}"))
-        for m in MACHINE_ITERATIONS
-    }
-    ratios = [row["improvement"] for row in rows.values()]
-    geomean = float(np.exp(np.mean(np.log(np.maximum(ratios, 1e-6)))))
-    return {"machines": rows, "geomean_improvement": geomean}
+        return _fig13_rows(store, query, its)
 
 
 def fig13_fleet(
@@ -306,33 +318,21 @@ def fig13_fleet(
     """
     from repro.fleet import FleetExecutor
 
-    its = {m: _machine_iterations(m, iterations) for m in MACHINE_ITERATIONS}
-    specs = [
-        RunSpec(app=machine_app(m), scheme=scheme, iterations=its[m], seed=seed)
-        for m in MACHINE_ITERATIONS
-        for scheme in ("baseline", "qismet")
-    ]
+    its, specs = _fig13_specs(seed, iterations)
     with FleetExecutor(
         machines=machines, db_path=db_path, seed=fleet_seed
     ) as executor:
         with _recorded(executor, specs) as (store, query):
-            comparisons = store.comparisons(query)
+            figure = _fig13_rows(store, query, its)
             stored = store.query_runs(query)
         telemetry = executor.telemetry()
         job_counts = executor.store.counts()
-    rows = {
-        m: _machine_row(m, its[m], _cell(comparisons, f"machine:{m}"))
-        for m in MACHINE_ITERATIONS
-    }
-    ratios = [row["improvement"] for row in rows.values()]
-    geomean = float(np.exp(np.mean(np.log(np.maximum(ratios, 1e-6)))))
     stored_per_device: Dict[str, int] = {}
     for run in stored:
         device = run.device or "-"
         stored_per_device[device] = stored_per_device.get(device, 0) + 1
     return {
-        "machines": rows,
-        "geomean_improvement": geomean,
+        **figure,
         "fleet": {
             "devices_used": telemetry["devices_used"],
             "total_deferrals": telemetry["total_deferrals"],
@@ -360,13 +360,13 @@ def fig14_spsa_schemes(
     """App2, SPSA optimization schemes vs QISMET (paper Fig. 14)."""
     iterations = iterations or default_iterations(2000, 500)
     app = get_app("App2")
-    comp = run_comparison(
+    plan = ExperimentPlan.single(
         app,
         ("baseline", "qismet", "blocking", "resampling", "2nd-order"),
-        iterations=iterations,
+        iterations,
         seed=seed,
-        executor=executor,
     )
+    comp = (executor or executor_for()).run_plan(plan).comparison(app.name)
     return {
         "iterations": iterations,
         "improvements": comp.improvements(),
@@ -473,10 +473,8 @@ def fig16_kalman(
     """Kalman hyper-parameter grid vs baseline and QISMET on App6."""
     iterations = iterations or default_iterations(500, 300)
     app = get_app("App6")
-    comp = run_comparison(
-        app, ["baseline", "qismet"], iterations=iterations, seed=seed,
-        executor=executor,
-    )
+    plan = ExperimentPlan.single(app, ["baseline", "qismet"], iterations, seed=seed)
+    comp = (executor or executor_for()).run_plan(plan).comparison(app.name)
     rows = {
         "baseline": tail_energy(comp.results["baseline"]),
         "qismet": tail_energy(comp.results["qismet"]),

@@ -1,12 +1,13 @@
-"""Experiment runner: scheme comparisons over Table 1 applications.
+"""Scheme comparisons over Table 1 applications and their geomean.
 
-This module is the classic, comparison-shaped front door to the
-declarative runtime in :mod:`repro.runtime`: :func:`run_comparison`
-builds a one-app :class:`~repro.runtime.spec.ExperimentPlan` and hands it
-to an executor (serial by default; set ``REPRO_EXECUTOR=parallel`` or
-pass ``executor=`` to fan schemes out across processes, and
-``REPRO_STORE`` to reuse previously computed runs). Sweeps larger
-than one app x one seed should build an ``ExperimentPlan`` directly.
+A :class:`ComparisonResult` holds every scheme's outcome on one
+comparison cell: one app, seed and trace scale, so one starting point
+and transient trace. Comparisons are derived, never stored: build an
+:class:`~repro.runtime.spec.ExperimentPlan` (``ExperimentPlan.single``
+for one cell), run it on an executor and regroup the runs with
+``PlanResult.comparisons()`` (or ``ExperimentStore.comparisons`` over
+stored runs). :func:`geomean_improvements` is the Fig. 17 aggregation
+over many cells.
 
 Seeds are derived per scheme (backend shot-noise streams are
 independent) while the SPSA perturbation sequence is shared across
@@ -17,12 +18,11 @@ methodology — see :mod:`repro.runtime.execute` for the exact contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.experiments.metrics import expectation_ratio, improvement_rel_baseline
-from repro.experiments.registry import AppConfig
 from repro.vqa.result import VQEResult
 
 
@@ -69,63 +69,6 @@ class ComparisonResult:
             name: result.tail_true_energy()
             for name, result in self.results.items()
         }
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "app_name": self.app_name,
-            "ground_truth": float(self.ground_truth),
-            "results": {
-                name: result.to_dict() for name, result in self.results.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ComparisonResult":
-        return cls(
-            app_name=data["app_name"],
-            ground_truth=float(data["ground_truth"]),
-            results={
-                name: VQEResult.from_dict(payload)
-                for name, payload in data.get("results", {}).items()
-            },
-        )
-
-
-def run_comparison(
-    app: AppConfig,
-    schemes: Sequence[str],
-    iterations: int,
-    seed: int = 2023,
-    shots: int = 8192,
-    trace_scale: float = 1.0,
-    theta0: Optional[np.ndarray] = None,
-    executor=None,
-    **scheme_kwargs,
-) -> ComparisonResult:
-    """Run several schemes on one application under identical conditions.
-
-    All schemes share the application's transient trace (scaled by
-    ``trace_scale``), starting parameters and SPSA perturbation sequence,
-    while backend shot-noise streams are derived per scheme — mirroring
-    the paper's synchronous baseline-vs-QISMET methodology.
-
-    This is a compatibility shim over :mod:`repro.runtime`: it expands a
-    one-app plan and executes it on ``executor`` (default: environment
-    selected via ``REPRO_EXECUTOR``/``REPRO_STORE``).
-    """
-    from repro.runtime import ExperimentPlan, executor_for, resolve_app
-
-    overrides = dict(scheme_kwargs)
-    if theta0 is not None:
-        overrides["theta0"] = tuple(
-            float(v) for v in np.asarray(theta0, dtype=float)
-        )
-    plan = ExperimentPlan.single(
-        app, schemes, iterations,
-        seed=seed, shots=shots, trace_scale=trace_scale, overrides=overrides,
-    )
-    outcome = (executor or executor_for()).run_plan(plan)
-    return outcome.comparison(resolve_app(app).name)
 
 
 def geomean_improvements(

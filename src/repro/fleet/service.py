@@ -402,7 +402,9 @@ class FleetService:
                     )
                 span.set(outcome="failed")
             else:
-                self.store.mark_done(job.run_id, result, self.clock.now())
+                self.store.mark_done(
+                    job.run_id, result, self.clock.now(), device=device.name
+                )
                 self.health.record_success(device.name)
                 span.set(outcome="completed")
             finished = True

@@ -189,7 +189,13 @@ class JobStore:
             tick=tick,
         )
 
-    def mark_done(self, run_id: str, result: RunResult, tick: int) -> None:
+    def mark_done(
+        self,
+        run_id: str,
+        result: RunResult,
+        tick: int,
+        device: Optional[str] = None,
+    ) -> None:
         """Persist a result and flip the row to ``done`` — idempotently.
 
         The payload is appended to the experiment store *first*, the
@@ -198,13 +204,17 @@ class JobStore:
         already-stored payload, so the final bytes are identical either
         way. Calling this on an already-``done`` row is a no-op, which is
         what makes a resumed drain safe against straggling workers.
+
+        The stored run and the journal row name the row's device, else
+        ``device`` (the worker that ran a job whose claim a concurrent
+        ``requeue_running`` cleared).
         """
         INJECTOR.fire("jobstore.mark_done", run_id=run_id)
         with self.results.transaction() as conn:
             row = _row(conn, run_id, "status, device")
             if row["status"] == DONE:
                 return
-            device = row["device"]
+            device = row["device"] or device
             self.results.append(result, device=device, source="fleet")
             # The payload commits on its own, ahead of the status: the
             # crash window the chaos suite drives (payload persisted,

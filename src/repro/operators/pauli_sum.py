@@ -104,7 +104,7 @@ class PauliSum:
 
         Routed through the matrix-free bitmask engine: each term costs one
         index-permutation gather, so no per-term dense matrix (and no
-        axis-by-axis tensor manipulation) is ever materialized.
+        axis-by-axis tensor manipulation) is ever built.
         """
         psi = np.asarray(state, dtype=complex).reshape(-1)
         coefficients, labels = self._flat_terms()

@@ -104,11 +104,13 @@ class PlanResult:
     # -- regrouping into the metrics layer ----------------------------------
 
     def comparisons(self) -> Dict[ComparisonKey, "ComparisonResult"]:
-        """Regroup runs into per-cell scheme comparisons.
+        """Regroup runs into per-cell scheme comparisons, cells in
+        first-run order.
 
         Each ``(app, seed, trace_scale)`` cell of the plan shared a
         starting point and transient trace, so its schemes form exactly
-        one paper-style comparison.
+        one paper-style comparison. This is the one regrouping:
+        ``ExperimentStore.comparisons`` runs it on stored runs.
         """
         from repro.experiments.runner import ComparisonResult
 
@@ -126,7 +128,7 @@ class PlanResult:
                 raise ValueError(
                     f"cell {key} has multiple {run.scheme!r} runs; "
                     "comparisons() cannot regroup an overrides sweep — "
-                    "pair specs with runs directly instead"
+                    "narrow the store query, or pair specs with runs directly"
                 )
             out[key].results[run.scheme] = run.result
         return out
@@ -157,14 +159,6 @@ class PlanResult:
                 f"pass seed= and/or trace_scale="
             )
         return matches[0]
-
-    def improvements(
-        self, baseline: str = "baseline", **kwargs
-    ) -> Dict[ComparisonKey, Dict[str, float]]:
-        return {
-            key: comp.improvements(baseline, **kwargs)
-            for key, comp in self.comparisons().items()
-        }
 
     def geomean_improvements(self, baseline: str = "baseline") -> Dict[str, float]:
         """Geometric-mean per-scheme improvement across every comparison

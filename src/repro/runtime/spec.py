@@ -298,7 +298,8 @@ class ExperimentPlan:
         overrides: Mapping[str, Any] = (),
         name: str = "",
     ) -> "ExperimentPlan":
-        """A one-app, one-seed plan: the classic ``run_comparison`` shape."""
+        """A one-app, one-seed plan: one paper-style comparison, read back
+        as ``executor.run_plan(plan).comparison(app_name)``."""
         return cls(
             apps=(app,),
             schemes=tuple(schemes),

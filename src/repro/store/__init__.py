@@ -13,7 +13,6 @@ from repro.store.export import export_plan_result
 from repro.store.query import RunQuery, StoredRun
 from repro.store.schema import SCHEMA_VERSION, SchemaError, payload_hash
 from repro.store.store import (
-    DEFAULT_VIEW,
     STORE_ENV,
     ExperimentStore,
     open_store,
@@ -21,7 +20,6 @@ from repro.store.store import (
 )
 
 __all__ = [
-    "DEFAULT_VIEW",
     "ExperimentStore",
     "RunQuery",
     "SCHEMA_VERSION",

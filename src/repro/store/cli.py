@@ -2,10 +2,9 @@
 
 Subcommands::
 
-    info            store summary (runs, blobs, apps, views)
+    info            store summary (runs, blobs, apps, devices)
     query           list runs matching column filters
     aggregate       per-scheme geomean improvements over matching runs
-    materialize     incrementally refresh a materialized aggregate view
     compact         drop unreferenced blobs and reclaim file space
 
 The store path comes from ``--store`` or the ``REPRO_STORE`` environment
@@ -20,7 +19,7 @@ import sys
 from typing import Any, List, Optional
 
 from repro.store.query import RunQuery
-from repro.store.store import DEFAULT_VIEW, STORE_ENV, ExperimentStore, open_store
+from repro.store.store import STORE_ENV, ExperimentStore, open_store
 
 
 def _emit(payload: Any, as_json: bool) -> None:
@@ -113,20 +112,8 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
     with _open(args) as store:
-        if args.materialized:
-            values = store.aggregate_materialized(args.view)
-        else:
-            values = store.aggregate(_query_from(args), baseline=args.baseline)
+        values = store.aggregate(_query_from(args), baseline=args.baseline)
     _emit({k: float(v) for k, v in values.items()}, args.json)
-    return 0
-
-
-def cmd_materialize(args: argparse.Namespace) -> int:
-    with _open(args) as store:
-        summary = store.materialize(
-            view=args.view, baseline=args.baseline, full=args.full
-        )
-    _emit(summary, args.json)
     return 0
 
 
@@ -163,23 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_filters(aggregate)
     aggregate.add_argument("--baseline", default="baseline")
-    aggregate.add_argument(
-        "--materialized",
-        action="store_true",
-        help="read the materialized view instead of recomputing",
-    )
-    aggregate.add_argument("--view", default=DEFAULT_VIEW)
     aggregate.set_defaults(func=cmd_aggregate)
-
-    materialize = sub.add_parser(
-        "materialize", help="refresh a materialized aggregate view"
-    )
-    materialize.add_argument("--view", default=DEFAULT_VIEW)
-    materialize.add_argument("--baseline", default="baseline")
-    materialize.add_argument(
-        "--full", action="store_true", help="rebuild every cell"
-    )
-    materialize.set_defaults(func=cmd_materialize)
 
     sub.add_parser(
         "compact", help="drop unreferenced blobs, reclaim space"

@@ -11,6 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Union
 
+from repro.runtime.results import PlanResult
 from repro.store.query import RunQuery
 from repro.store.store import ExperimentStore
 from repro.utils.serialization import save_json
@@ -35,6 +36,5 @@ def export_plan_result(
     if missing:
         raise KeyError(f"store is missing {len(missing)} run(s): {missing[:3]}")
     runs = [stored[rid].to_run_result(from_cache=False) for rid in run_ids]
-    payload = {"plan": plan, "runs": [run.to_dict() for run in runs]}
-    return save_json(path, payload)
+    return save_json(path, PlanResult(runs, plan).to_dict())
 

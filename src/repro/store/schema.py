@@ -12,11 +12,10 @@ Version history:
   JSON column (the initial lakehouse layout).
 * **v2** — content-addressed payloads: run rows carry a
   ``payload_hash`` into a shared ``blobs`` table (identical payloads are
-  stored once, integrity is checkable by re-hashing), an autoincrement
-  ``seq`` records append order (the watermark basis for incremental
-  materialized aggregates), and the ``matviews`` / ``matview_watermarks``
-  tables hold per-cell improvement ratios plus the high-water mark of the
-  last materialization.
+  stored once, integrity is checkable by re-hashing) and an
+  autoincrement ``seq`` records append order. v2 also added the
+  ``matviews`` / ``matview_watermarks`` tables of materialized per-cell
+  ratios, which v7 drops.
 * **v3** — adds the ``traces`` table: ``repro.obs``
   trace/metric summaries persisted next to the results they profile,
   payloads content-addressed through the same ``blobs`` table.
@@ -31,11 +30,14 @@ Version history:
   fleet clock total moves from the fleet's own ``meta`` table into
   ``store_meta`` (``fleet_ticks``); ``meta`` and the pre-store inline
   ``jobs.result`` column are dropped.
-* **v6** (current) — the journal is the only record of fleet events:
+* **v6** — the journal is the only record of fleet events:
   it also holds deferrals, cache hits and quarantines, and a
   ``session`` column tells apart the stores that wrote it. Fleet
   counters are queries over it, so the ``telemetry`` rollup and the
   ``fleet_ticks`` total are dropped.
+* **v7** (current) — the ``matviews`` / ``matview_watermarks`` tables
+  are dropped: comparisons and their geomeans are computed from the
+  stored runs on every read.
 
 Migrations move payload text **verbatim** — a v1 store migrated to v2
 serves bit-identical payloads (asserted in
@@ -50,7 +52,7 @@ import sqlite3
 from typing import Callable, Dict
 
 #: Current on-disk schema version.
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 #: The v1 layout, kept for migration tests and ``create_v1_store``.
 V1_SCHEMA = """
@@ -171,11 +173,11 @@ CREATE TABLE IF NOT EXISTS jobs (
 CREATE INDEX IF NOT EXISTS jobs_status ON jobs (status);
 """
 
-#: What a new store lays down before the v5->v6 step: the v5 layout
-#: less the ``telemetry`` rollup that v6 drops.
+#: What a new store lays down before the v5->v6 and v6->v7 steps: the
+#: v5 layout less the ``telemetry`` rollup that v6 drops.
 V5_SCHEMA = V4_SCHEMA + FLEET_SCHEMA
 
-#: Every table the current layout creates.
+#: Every table a new store lays down.
 _STORE_TABLES = tuple(re.findall(r"CREATE TABLE IF NOT EXISTS (\w+)", V5_SCHEMA))
 
 
@@ -231,7 +233,7 @@ def _migrate_v1_to_v2(conn: sqlite3.Connection) -> None:
 
     Payload text moves verbatim; append order is preserved by walking the
     v1 table in rowid order so ``seq`` reproduces the original insertion
-    sequence (the matview watermark basis).
+    sequence.
     """
     conn.execute("ALTER TABLE runs RENAME TO runs_v1")
     _run_script(conn, V2_SCHEMA)
@@ -307,6 +309,14 @@ def _migrate_v5_to_v6(conn: sqlite3.Connection) -> None:
     conn.execute("DELETE FROM store_meta WHERE key = 'fleet_ticks'")
 
 
+def _migrate_v6_to_v7(conn: sqlite3.Connection) -> None:
+    """Drop the materialized-aggregate tables: comparisons and geomeans
+    are computed from the runs on every read. Runs, blobs, traces, jobs,
+    the journal and ``store_meta`` stay."""
+    conn.execute("DROP TABLE IF EXISTS matviews")
+    conn.execute("DROP TABLE IF EXISTS matview_watermarks")
+
+
 #: Forward migrations: from-version -> migration function.
 MIGRATIONS: Dict[int, Callable[[sqlite3.Connection], None]] = {
     1: _migrate_v1_to_v2,
@@ -314,6 +324,7 @@ MIGRATIONS: Dict[int, Callable[[sqlite3.Connection], None]] = {
     3: _migrate_v3_to_v4,
     4: _migrate_v4_to_v5,
     5: _migrate_v5_to_v6,
+    6: _migrate_v6_to_v7,
 }
 
 

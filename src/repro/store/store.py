@@ -7,12 +7,9 @@ into a shared ``blobs`` table, so identical results — a fleet re-run, a
 duplicate submit — are stored once and dedupe on ``run_id``.
 
 Reads go through the typed query API (:meth:`query_runs`,
-:meth:`comparisons`, :meth:`aggregate`); Fig. 17-style geomean
-aggregates can additionally be *materialized* incrementally
-(:meth:`materialize`): per-cell improvement ratios are cached in the
-``matviews`` table with an append-order watermark, and a later
-materialize only recomputes cells that received runs newer than the
-watermark.
+:meth:`comparisons`, :meth:`aggregate`). Comparisons and their
+Fig. 17-style geomeans are computed from the stored runs on every read,
+by the same code that regroups an executor's ``PlanResult``.
 
 One connection serves every thread, guarded by a re-entrant lock.
 Every write goes through :meth:`transaction`, which also takes the
@@ -35,18 +32,13 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 from repro.faults.inject import INJECTOR
 from repro.obs import METRICS, TRACER
-from repro.runtime.results import RunResult
+from repro.runtime.results import PlanResult, RunResult
 from repro.store.query import RunQuery, StoredRun
 from repro.store.schema import SCHEMA_VERSION, ensure_schema, payload_hash
 from repro.utils.serialization import canonical_json
 
-import numpy as np
-
 #: Environment knob naming the store every env-constructed component uses.
 STORE_ENV = "REPRO_STORE"
-
-#: Default materialized-view name (the Fig. 17 aggregation).
-DEFAULT_VIEW = "fig17"
 
 _RUN_COLUMNS = (
     "seq, run_id, app, scheme, seed, shots, trace_scale, iterations,"
@@ -465,34 +457,19 @@ class ExperimentStore:
     ]:
         """Regroup matching runs into per-cell scheme comparisons.
 
-        Cells come back in first-append order — except when the query
-        names explicit ``run_ids``, in which case *that* order wins, so
-        regrouping a plan's runs matches ``PlanResult.comparisons()``
-        exactly (down to the float-summation order of the geomean) even
-        on a store that ingested the runs in another order. Like it,
-        refuses to regroup a sweep whose cells repeat a scheme (an
-        overrides sweep) — narrow the query instead.
+        Rows keep append order, except when the query names explicit
+        ``run_ids``: then *that* order wins, so regrouping a plan's runs
+        equals ``PlanResult.comparisons()`` of the executed plan (down to
+        the float-summation order of the geomean) even on a store that
+        ingested the runs in another order. The regrouping is
+        :meth:`PlanResult.comparisons`, which refuses a cell that repeats
+        a scheme (an overrides sweep): narrow the query instead.
         """
-        from repro.experiments.runner import ComparisonResult
-
         rows = self.query_runs(query)
         if query is not None and query.run_ids:
             position = {rid: i for i, rid in enumerate(query.run_ids)}
             rows.sort(key=lambda s: position[s.run_id])
-        out: Dict[Tuple[str, int, float], ComparisonResult] = {}
-        for stored in rows:
-            key = (stored.app, stored.seed, stored.trace_scale)
-            if key not in out:
-                out[key] = ComparisonResult(
-                    app_name=stored.app, ground_truth=stored.ground_truth
-                )
-            if stored.scheme in out[key].results:
-                raise ValueError(
-                    f"cell {key} has multiple {stored.scheme!r} runs; "
-                    "narrow the query (iterations/shots/overrides differ)"
-                )
-            out[key].results[stored.scheme] = stored.to_run_result().result
-        return out
+        return PlanResult(runs=[s.to_run_result() for s in rows]).comparisons()
 
     def aggregate(
         self,
@@ -503,7 +480,7 @@ class ExperimentStore:
 
         Delegates to :func:`repro.experiments.runner.geomean_improvements`
         on the regrouped comparisons, so the numbers are bit-identical to
-        what the figure builders compute from direct executor results.
+        ``PlanResult.geomean_improvements()`` of the same runs.
         """
         from repro.experiments.runner import geomean_improvements
 
@@ -511,144 +488,10 @@ class ExperimentStore:
             list(self.comparisons(query).values()), baseline
         )
 
-    # -- materialized aggregates ---------------------------------------------
-
-    def _cell_key(self, stored: StoredRun) -> str:
-        """Materialization cell identity: the full spec minus the scheme.
-
-        A superset of ``comparison_key`` — including iterations, shots
-        and overrides keeps heterogeneous sweeps sharing one store from
-        colliding into the same comparison cell.
-        """
-        spec = json.loads(stored.spec_json)
-        return canonical_json(
-            [
-                stored.app,
-                stored.seed,
-                stored.trace_scale,
-                stored.iterations,
-                stored.shots,
-                spec.get("overrides", []),
-            ]
-        )
-
-    def materialize(
-        self,
-        view: str = DEFAULT_VIEW,
-        baseline: str = "baseline",
-        full: bool = False,
-    ) -> Dict[str, Any]:
-        """Incrementally (re)compute the per-cell improvement ratios.
-
-        Only cells containing runs appended after the view's watermark
-        are recomputed; ``full=True`` (or a baseline change) rebuilds
-        every cell. Cells missing the baseline scheme are skipped — the
-        baseline's later arrival bumps the watermark past the whole cell
-        and re-triggers it. A run that fails to decode aborts the whole
-        refresh: the view and its watermark stay as they were.
-        """
-        from repro.experiments.runner import ComparisonResult
-
-        METRICS.counter("store.materializations").inc()
-        with TRACER.span(
-            "store.materialize", category="store", view=view
-        ), self.transaction() as conn:
-            mark = conn.execute(
-                "SELECT watermark, baseline FROM matview_watermarks"
-                " WHERE view = ?",
-                (view,),
-            ).fetchone()
-            watermark = -1
-            if mark is not None and not full and mark["baseline"] == baseline:
-                watermark = mark["watermark"]
-            else:
-                conn.execute("DELETE FROM matviews WHERE view = ?", (view,))
-            all_runs = self.query_runs()
-            max_seq = max((s.seq for s in all_runs), default=watermark)
-            cells: Dict[str, List[StoredRun]] = {}
-            for stored in all_runs:
-                cells.setdefault(self._cell_key(stored), []).append(stored)
-            affected = [
-                cell
-                for cell, members in cells.items()
-                if any(s.seq > watermark for s in members)
-            ]
-            updated = 0
-            for cell in affected:
-                members = cells[cell]
-                conn.execute(
-                    "DELETE FROM matviews WHERE view = ? AND cell = ?",
-                    (view, cell),
-                )
-                schemes = {s.scheme for s in members}
-                if baseline not in schemes:
-                    continue
-                comp = ComparisonResult(
-                    app_name=members[0].app,
-                    ground_truth=members[0].ground_truth,
-                )
-                for stored in members:
-                    comp.results[stored.scheme] = (
-                        stored.to_run_result().result
-                    )
-                ratios = comp.improvements(baseline)
-                order = min(s.seq for s in members)
-                for scheme, ratio in ratios.items():
-                    conn.execute(
-                        "INSERT INTO matviews"
-                        " (view, cell, scheme, ratio, cell_order)"
-                        " VALUES (?, ?, ?, ?, ?)",
-                        (view, cell, scheme, float(ratio), order),
-                    )
-                updated += 1
-            conn.execute(
-                "INSERT INTO matview_watermarks (view, watermark, baseline)"
-                " VALUES (?, ?, ?)"
-                " ON CONFLICT(view) DO UPDATE SET"
-                " watermark=excluded.watermark, baseline=excluded.baseline",
-                (view, max_seq, baseline),
-            )
-        return {
-            "view": view,
-            "baseline": baseline,
-            "watermark": max_seq,
-            "updated_cells": updated,
-            "total_cells": len(cells),
-        }
-
-    def aggregate_materialized(self, view: str = DEFAULT_VIEW) -> Dict[str, float]:
-        """Per-scheme geomean from the materialized per-cell ratios.
-
-        Reconstructs the ratio lists in cell append order and evaluates
-        the exact expression :func:`geomean_improvements` uses, so a
-        materialized aggregate is bit-identical to the direct one.
-        """
-        rows = self.read(
-            "SELECT cell, scheme, ratio, cell_order FROM matviews"
-            " WHERE view = ? ORDER BY cell_order",
-            (view,),
-        )
-        if not rows:
-            raise ValueError(f"no materialized cells for view {view!r}")
-        by_cell: Dict[str, Dict[str, float]] = {}
-        for row in rows:
-            by_cell.setdefault(row["cell"], {})[row["scheme"]] = row["ratio"]
-        schemes = set.intersection(*(set(r) for r in by_cell.values()))
-        out: Dict[str, float] = {}
-        for scheme in sorted(schemes):
-            ratios = [cell[scheme] for cell in by_cell.values()]
-            out[scheme] = float(np.exp(np.mean(np.log(ratios))))
-        return out
-
     # -- maintenance ---------------------------------------------------------
 
     def prune(self, query: RunQuery) -> int:
-        """Delete runs matching ``query``; returns how many were removed.
-
-        Materialized views are invalidated wholesale (deletions cannot be
-        expressed as watermark increments) — the next ``materialize``
-        rebuilds them from the surviving runs.
-        """
+        """Delete runs matching ``query``; returns how many were removed."""
         matching = [s.run_id for s in self.query_runs(query)]
         if not matching:
             return 0
@@ -657,8 +500,6 @@ class ExperimentStore:
             conn.execute(
                 f"DELETE FROM runs WHERE run_id IN ({placeholders})", matching
             )
-            conn.execute("DELETE FROM matviews")
-            conn.execute("DELETE FROM matview_watermarks")
         return len(matching)
 
     def compact(self) -> Dict[str, int]:
@@ -717,22 +558,6 @@ class ExperimentStore:
                     " WHERE device IS NOT NULL ORDER BY device"
                 )
             ]
-            views = [
-                {
-                    "view": r["view"],
-                    "watermark": r["watermark"],
-                    "baseline": r["baseline"],
-                    "cells": self._conn.execute(
-                        "SELECT COUNT(DISTINCT cell) FROM matviews"
-                        " WHERE view = ?",
-                        (r["view"],),
-                    ).fetchone()[0],
-                }
-                for r in self._conn.execute(
-                    "SELECT view, watermark, baseline FROM matview_watermarks"
-                    " ORDER BY view"
-                )
-            ]
         return {
             "path": self.path,
             "schema_version": SCHEMA_VERSION,
@@ -744,7 +569,6 @@ class ExperimentStore:
             "apps": apps,
             "schemes": schemes,
             "devices": devices,
-            "views": views,
         }
 
 

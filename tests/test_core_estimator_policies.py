@@ -46,6 +46,10 @@ def test_fig9_scenarios():
     small = TransientEstimate(0.0, 0.08, 0.05)
     assert small.gm > 0 and small.gp < 0
     assert policy.accepts(small, tau)
+    # the threshold region is inclusive: opposite signs at |Gm| = |Gp| = tau
+    edge = TransientEstimate(0.0, 0.5, 0.25)
+    assert edge.gm == 0.25 and edge.gp == -0.25
+    assert policy.accepts(edge, 0.25)
 
 
 def test_fig9_invariance_to_energy_offset():

@@ -9,9 +9,10 @@ from repro.experiments.metrics import (
     tail_energy,
 )
 from repro.experiments.registry import app_names, get_app
-from repro.experiments.runner import geomean_improvements, run_comparison
+from repro.experiments.runner import geomean_improvements
 from repro.experiments.schemes import SCHEME_NAMES, build_vqe
 from repro.noise.noise_model import NoiseModel
+from repro.runtime import ExperimentPlan, executor_for
 from repro.vqa.objective import EnergyObjective
 from repro.vqa.result import IterationRecord, VQEResult
 
@@ -131,9 +132,10 @@ def test_default_iterations_scaling(monkeypatch):
     assert default_iterations(2000) == 2000
 
 
-def test_run_comparison_smoke():
+def test_single_plan_comparison_smoke():
     app = get_app("App1")
-    comp = run_comparison(app, ["baseline", "qismet"], iterations=40, seed=5)
+    plan = ExperimentPlan.single(app, ["baseline", "qismet"], 40, seed=5)
+    comp = executor_for().run_plan(plan).comparison(app.name)
     assert set(comp.results) == {"baseline", "qismet"}
     ratios = comp.improvements()
     assert ratios["baseline"] == pytest.approx(1.0)
@@ -144,9 +146,10 @@ def test_run_comparison_smoke():
     assert geo["baseline"] == pytest.approx(1.0)
 
 
-def test_run_comparison_schemes_share_start():
+def test_single_plan_schemes_share_start():
     app = get_app("App1")
-    comp = run_comparison(app, ["baseline", "qismet"], iterations=10, seed=6)
+    plan = ExperimentPlan.single(app, ["baseline", "qismet"], 10, seed=6)
+    comp = executor_for().run_plan(plan).comparison(app.name)
     base = comp.results["baseline"].machine_energies[0]
     qismet = comp.results["qismet"].machine_energies[0]
     # same theta0 and same first-job transient, but independent backend
@@ -209,13 +212,14 @@ def test_build_vqe_trust_radius_defaults_preserved():
     assert build("baseline", spsa_trust_radius=0.2).optimizer.trust_radius == 0.2
 
 
-def test_run_comparison_matches_standalone_spec_execution():
-    """The shim is a thin veneer: a scheme's run inside a comparison is
-    bit-identical to executing that scheme's spec on its own."""
+def test_single_plan_matches_standalone_spec_execution():
+    """A scheme's run inside a one-app plan's comparison is bit-identical
+    to executing that scheme's spec on its own."""
     from repro.runtime import RunSpec, execute_run
 
     app = get_app("App1")
-    comp = run_comparison(app, ["baseline", "qismet"], iterations=8, seed=11)
+    plan = ExperimentPlan.single(app, ["baseline", "qismet"], 8, seed=11)
+    comp = executor_for().run_plan(plan).comparison(app.name)
     solo = execute_run(
         RunSpec(app="App1", scheme="qismet", iterations=8, seed=11)
     )

@@ -331,6 +331,50 @@ def test_requeue_while_first_writer_still_running(tmp_path):
     assert payload == reference_payloads()[spec.run_id]
 
 
+def test_requeued_straggler_completion_keeps_its_device(tmp_path):
+    """A job whose claim a second writer's requeue cleared still records
+    the device that ran it, on its stored run and its ``done`` event."""
+    db = str(tmp_path / "fleet.db")
+    spec = SPECS[0]
+    started = threading.Event()
+    release = threading.Event()
+
+    def gated_execute(run_spec):
+        started.set()
+        assert release.wait(60)
+        return execute_run(run_spec)
+
+    first = FleetService(machines=["toronto"], db_path=db, execute=gated_execute)
+    first.submit([spec])
+    drainer = threading.Thread(target=first.drain, kwargs={"timeout": 120})
+    drainer.start()
+    try:
+        assert started.wait(60)
+        second = FleetService(machines=["cairo"], db_path=db)
+        assert second.recovered == 1
+        second.close()
+    finally:
+        release.set()
+        drainer.join(timeout=120)
+    first.close()
+    conn = sqlite3.connect(db)
+    try:
+        (stored_device,) = conn.execute(
+            "SELECT device FROM runs WHERE run_id = ?", (spec.run_id,)
+        ).fetchone()
+        done_devices = [
+            device
+            for (device,) in conn.execute(
+                "SELECT device FROM journal WHERE run_id = ? AND event = 'done'",
+                (spec.run_id,),
+            )
+        ]
+    finally:
+        conn.close()
+    assert stored_device == "toronto"
+    assert done_devices == ["toronto"]
+
+
 def test_corrupt_payload_self_heals_on_resubmission(tmp_path):
     db = str(tmp_path / "fleet.db")
     spec = SPECS[0]

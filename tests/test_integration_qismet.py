@@ -5,20 +5,18 @@ import pytest
 
 from repro.experiments.figures import fig3_t1_transients, fig4_circuit_fidelity
 from repro.experiments.registry import get_app
-from repro.experiments.runner import run_comparison
 from repro.hamiltonians.tfim import tfim_exact_ground_energy
+from repro.runtime import ExperimentPlan, executor_for
 
 
 @pytest.fixture(scope="module")
 def small_comparison():
     """One shared reduced-scale comparison used by several assertions."""
     app = get_app("App2")
-    return run_comparison(
-        app,
-        ["noise-free", "static-only", "baseline", "qismet"],
-        iterations=120,
-        seed=11,
+    plan = ExperimentPlan.single(
+        app, ["noise-free", "static-only", "baseline", "qismet"], 120, seed=11
     )
+    return executor_for().run_plan(plan).comparison(app.name)
 
 
 def test_fig1_line_ordering(small_comparison):
@@ -63,8 +61,9 @@ def test_qismet_skip_rate_bounded(small_comparison):
 
 def test_comparison_is_deterministic():
     app = get_app("App1")
-    a = run_comparison(app, ["baseline"], iterations=30, seed=3)
-    b = run_comparison(app, ["baseline"], iterations=30, seed=3)
+    plan = ExperimentPlan.single(app, ["baseline"], 30, seed=3)
+    a = executor_for().run_plan(plan).comparison(app.name)
+    b = executor_for().run_plan(plan).comparison(app.name)
     assert np.allclose(
         a.results["baseline"].machine_energies,
         b.results["baseline"].machine_energies,
@@ -76,9 +75,10 @@ def test_trace_scale_monotonicity():
     app = get_app("App1")
     finals = []
     for scale in (0.0, 3.0):
-        comp = run_comparison(
-            app, ["baseline"], iterations=150, seed=9, trace_scale=scale
+        plan = ExperimentPlan.single(
+            app, ["baseline"], 150, seed=9, trace_scale=scale
         )
+        comp = executor_for().run_plan(plan).comparison(app.name)
         finals.append(comp.results["baseline"].tail_true_energy())
     assert finals[0] < finals[1] + 0.2
 

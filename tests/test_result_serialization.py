@@ -1,6 +1,6 @@
 """Round-trips for the serializable result layer.
 
-VQEResult / IterationRecord / ComparisonResult / RunResult survive
+VQEResult / IterationRecord / RunResult survive
 ``to_dict`` -> JSON -> ``from_dict`` bit-equal, including optional fields
 (``tm``, ``true_energy``, ``final_theta``) set to ``None``.
 """
@@ -10,7 +10,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments.runner import ComparisonResult
 from repro.runtime import RunResult, RunSpec
 from repro.vqa.result import IterationRecord, VQEResult
 
@@ -77,21 +76,6 @@ def test_vqe_result_round_trip_none_theta_and_energies():
     assert back.to_dict() == result.to_dict()
     with pytest.raises(ValueError):
         back.true_energies  # still untracked after the round trip
-
-
-def test_comparison_result_round_trip():
-    comp = ComparisonResult(
-        app_name="App1",
-        ground_truth=-7.3,
-        results={"baseline": _result(), "qismet": _result(8)},
-    )
-    back = ComparisonResult.from_dict(_json_round_trip(comp.to_dict()))
-    assert back.app_name == comp.app_name
-    assert back.ground_truth == comp.ground_truth
-    assert set(back.results) == set(comp.results)
-    assert back.to_dict() == comp.to_dict()
-    assert back.improvements() == comp.improvements()
-    assert back.final_energies() == comp.final_energies()
 
 
 def test_run_result_round_trip():

@@ -241,21 +241,3 @@ def test_executor_for_fleet_selection(monkeypatch, tmp_path):
         assert isinstance(cached.inner, FleetExecutor)
     finally:
         cached.inner.close()
-
-
-def test_run_comparison_shim_accepts_executor(tmp_path):
-    from repro.experiments import get_app, run_comparison
-
-    cached = CachedExecutor(tmp_path / "cache", inner=CountingExecutor())
-    comp = run_comparison(
-        get_app("App1"), ["baseline", "qismet"], iterations=5, seed=6,
-        executor=cached,
-    )
-    assert set(comp.results) == {"baseline", "qismet"}
-    assert cached.misses == 2
-    comp2 = run_comparison(
-        get_app("App1"), ["baseline", "qismet"], iterations=5, seed=6,
-        executor=cached,
-    )
-    assert cached.inner.executed == 2  # second comparison fully cached
-    assert comp2.improvements() == comp.improvements()

@@ -135,7 +135,7 @@ def test_plan_validation_and_round_trip():
     assert back.plan_id == plan.plan_id
 
 
-def test_plan_single_matches_run_comparison_shape():
+def test_plan_single_is_one_comparison_cell():
     plan = ExperimentPlan.single(
         "App1", ("baseline", "qismet"), 40, seed=5, trace_scale=2.0
     )

@@ -10,10 +10,8 @@ import pytest
 
 from repro.runtime import ExperimentPlan, RunSpec, SerialExecutor
 from repro.store import (
-    DEFAULT_VIEW,
     ExperimentStore,
     RunQuery,
-    StoredRun,
     export_plan_result,
     open_store,
     payload_hash,
@@ -163,6 +161,28 @@ def test_aggregate_bitwise_matches_geomean(store, outcome):
     assert store.aggregate(query) == outcome.geomean_improvements()
 
 
+def test_comparisons_follow_the_query_order_not_append_order(outcome):
+    """Runs appended in reverse regroup, under a query naming the plan's
+    run ids, into the plan's own cells in the plan's order; without run
+    ids, cells come back in append order."""
+    query = RunQuery(run_ids=[run.run_id for run in outcome])
+    with ExperimentStore() as store:
+        store.append_many(reversed(outcome.runs))
+        comps = store.comparisons(query)
+        aggregate = store.aggregate(query)
+        appended = store.comparisons()
+    direct = outcome.comparisons()
+    assert list(comps) == list(direct)
+    for key, comp in comps.items():
+        assert comp.app_name == direct[key].app_name
+        assert comp.ground_truth == direct[key].ground_truth
+        assert list(comp.results) == list(direct[key].results)
+        for scheme, result in comp.results.items():
+            assert result.to_dict() == direct[key].results[scheme].to_dict()
+    assert aggregate == outcome.geomean_improvements()
+    assert list(appended) == list(reversed(direct))
+
+
 def test_comparisons_refuse_scheme_collisions():
     specs = [
         RunSpec(
@@ -175,110 +195,11 @@ def test_comparisons_refuse_scheme_collisions():
     with ExperimentStore() as store:
         for run in runs:
             store.append(run)
-        # overrides land in different materialization cells, so the
-        # typed query API refuses only when the *query* mixes them ...
+        # the two overrides share one comparison cell: a query mixing
+        # them is refused rather than keeping whichever run came last
         with pytest.raises(ValueError, match="multiple 'baseline' runs"):
             store.comparisons()
-        # ... while materialize keys cells on the full spec and copes.
-        store.materialize()
-
-
-# -- materialized aggregates ---------------------------------------------------
-
-
-def test_materialize_then_aggregate_matches_direct(store, outcome):
-    report = store.materialize()
-    assert report["view"] == DEFAULT_VIEW
-    assert report["updated_cells"] == report["total_cells"] == 4
-    assert store.aggregate_materialized() == outcome.geomean_improvements()
-
-
-def test_incremental_materialize_only_touches_new_cells(store):
-    store.materialize()
-    again = store.materialize()
-    assert again["updated_cells"] == 0  # nothing newer than the watermark
-
-    spec = RunSpec(app="App1", scheme="baseline", iterations=6, seed=11)
-    run = SerialExecutor().run([spec])[0]
-    store.append(run)
-    incr = store.materialize()
-    assert incr["updated_cells"] == 1
-    assert incr["total_cells"] == 5
-
-
-def test_incremental_equals_full_rebuild(store, outcome):
-    store.materialize()
-    extra_specs = ExperimentPlan(
-        apps=("App1",),
-        schemes=("baseline", "qismet", "noise-free"),
-        iterations=6,
-        seeds=(11,),
-    ).expand()
-    extra = SerialExecutor().run(extra_specs)
-    for run in extra:
-        store.append(run)
-    store.materialize()  # incremental: only the new cell
-    incremental = store.aggregate_materialized()
-
-    with ExperimentStore() as fresh:
-        for run in [*outcome, *extra]:
-            fresh.append(run)
-        fresh.materialize(full=True)
-        assert fresh.aggregate_materialized() == incremental
-
-
-def test_materialize_baseline_change_forces_rebuild(store):
-    store.materialize()
-    swapped = store.materialize(baseline="noise-free")
-    assert swapped["updated_cells"] == 4
-    agg = store.aggregate_materialized()
-    assert agg["noise-free"] == pytest.approx(1.0)
-
-
-def test_materialize_skips_cells_missing_baseline(outcome):
-    with ExperimentStore() as store:
-        for run in outcome:
-            if run.spec.scheme != "baseline":
-                store.append(run)
-        report = store.materialize()
-        assert report["updated_cells"] == 0
-        with pytest.raises(ValueError, match="no materialized cells"):
-            store.aggregate_materialized()
-
-
-def test_failed_materialize_commits_nothing(tmp_path, monkeypatch):
-    """A run that fails to decode mid-refresh rolls the whole refresh
-    back: the next write on the connection must not commit half a view."""
-    plan = ExperimentPlan(
-        apps=("App1", "App2"), schemes=("baseline", "qismet"),
-        iterations=4, seeds=(5,),
-    )
-    runs = SerialExecutor().run_plan(plan).runs
-    unrelated = SerialExecutor().run(
-        [RunSpec(app="App1", scheme="noise-free", iterations=4, seed=6)]
-    )[0]
-    db = tmp_path / "store.sqlite"
-    with ExperimentStore(db) as store:
-        store.append_many(runs)
-        store.materialize()
-        aggregate = store.aggregate_materialized()
-        views = store.info()["views"]
-        decode = StoredRun.to_run_result
-
-        def app2_fails(self, *args, **kwargs):
-            if self.app == "App2":
-                raise ValueError("undecodable payload")
-            return decode(self, *args, **kwargs)
-
-        monkeypatch.setattr(StoredRun, "to_run_result", app2_fails)
-        with pytest.raises(ValueError, match="undecodable"):
-            store.materialize(full=True)
-        monkeypatch.undo()
-        assert store.append(unrelated)
-    with ExperimentStore(db) as store:
-        assert store.aggregate_materialized() == aggregate
-        assert store.info()["views"] == views
-        assert unrelated.run_id in store
+        assert len(store.comparisons(RunQuery(run_ids=[runs[0].run_id]))) == 1
 
 
 def test_threads_sharing_a_store_commit_whole_transactions(tmp_path):
@@ -387,23 +308,14 @@ def test_rolled_back_journal_write_frees_its_session(tmp_path):
         ] == [("r2", 1), ("r3", 2)]
 
 
-def test_aggregate_materialized_requires_materialize(store):
-    with pytest.raises(ValueError, match="no materialized cells"):
-        store.aggregate_materialized()
-
-
 # -- maintenance ---------------------------------------------------------------
 
 
 def test_prune_removes_runs_and_invalidates_views(store):
-    store.materialize()
     removed = store.prune(RunQuery(apps="App2"))
     assert removed == 6
     assert len(store) == 6
-    with pytest.raises(ValueError, match="no materialized cells"):
-        store.aggregate_materialized()
-    rebuilt = store.materialize()
-    assert rebuilt["total_cells"] == 2
+    assert [key[0] for key in store.comparisons()] == ["App1", "App1"]
 
 
 def test_compact_reclaims_orphaned_blobs(store):
@@ -439,10 +351,7 @@ def test_export_plan_result_roundtrip(tmp_path, store, outcome):
 
 
 def test_info_summarizes_contents(store):
-    store.materialize()
     info = store.info()
     assert info["runs"] == 12
     assert info["apps"] == ["App1", "App2"]
     assert set(info["schemes"]) == set(PLAN.schemes)
-    assert info["views"][0]["view"] == DEFAULT_VIEW
-    assert info["views"][0]["cells"] == 4

@@ -59,22 +59,10 @@ def test_query_filters_and_json(store_path, capsys):
     assert all(row["scheme"] == "qismet" for row in rows)
 
 
-def test_aggregate_direct_and_materialized(store_path, outcome, capsys):
-    expected = outcome.geomean_improvements()
-
+def test_aggregate_matches_plan_result(store_path, outcome, capsys):
     assert main(["--store", store_path, "--json", "aggregate"]) == 0
     direct = json.loads(capsys.readouterr().out)
-    assert direct == expected
-
-    assert main(["--store", store_path, "--json", "materialize"]) == 0
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["updated_cells"] == 2
-
-    assert main(
-        ["--store", store_path, "--json", "aggregate", "--materialized"]
-    ) == 0
-    materialized = json.loads(capsys.readouterr().out)
-    assert materialized == expected
+    assert direct == outcome.geomean_improvements()
 
 
 def test_env_store_resolution(store_path, monkeypatch, capsys):

@@ -62,7 +62,8 @@ def _v1_store(path, runs):
 
 
 def test_v1_to_v2_migration_preserves_payload_bits(tmp_path):
-    runs = SerialExecutor().run_plan(PLAN).runs
+    outcome = SerialExecutor().run_plan(PLAN)
+    runs = outcome.runs
     db = tmp_path / "store.sqlite"
     _v1_store(db, runs)
     v1_payloads = {
@@ -76,10 +77,10 @@ def test_v1_to_v2_migration_preserves_payload_bits(tmp_path):
             assert stored.payload == v1_payloads[stored.run_id]
         # append order survives as seq order
         assert store.run_ids() == [run.run_id for run in runs]
-        # the migrated store is fully functional: aggregate + materialize
-        direct = store.aggregate(RunQuery(run_ids=[r.run_id for r in runs]))
-        store.materialize()
-        assert store.aggregate_materialized() == direct
+        # the migrated store is fully functional: its aggregate is the
+        # executed plan's, bit for bit
+        query = RunQuery(run_ids=[r.run_id for r in runs])
+        assert store.aggregate(query) == outcome.geomean_improvements()
 
     # reopening is a no-op migration
     with ExperimentStore(db) as store:
@@ -512,6 +513,86 @@ def test_v5_fleet_db_drops_the_rollup_and_resumes(tmp_path, capsys):
         assert {e["session"] for e in store.results.journal_entries()} == {0, 1}
         devices = store.telemetry()["devices"].values()
         assert sum(counters["completed"] for counters in devices) == 2
+
+
+#: ``journal.session``, which v6 added to the v5 layout.
+JOURNAL_V6_DDL = """
+ALTER TABLE journal ADD COLUMN session INTEGER NOT NULL DEFAULT 0;
+"""
+
+
+def _table_rows(path, tables):
+    conn = sqlite3.connect(str(path))
+    try:
+        return {
+            table: conn.execute(f"SELECT * FROM {table} ORDER BY 1").fetchall()
+            for table in tables
+        }
+    finally:
+        conn.close()
+
+
+def test_v6_store_drops_the_materialized_views(tmp_path):
+    """A v6 store holding materialized per-cell ratios opens at v7: the
+    ``matviews`` and ``matview_watermarks`` tables are gone, and runs,
+    payload bytes, jobs, journal rows and ``aggregate`` are unchanged."""
+    outcome = SerialExecutor().run_plan(PLAN)
+    db = tmp_path / "fleet.db"
+    conn = _old_fleet_db(db, V4_SCHEMA + FLEET_SCHEMA, 6, JOURNAL_V6_DDL)
+    for run in outcome:
+        _store_run(conn, run, "toronto")
+    first = outcome.runs[0]
+    conn.execute(
+        "INSERT INTO jobs (run_id, spec, status, device, attempts,"
+        " submitted_tick, started_tick, finished_tick)"
+        " VALUES (?, ?, ?, 'toronto', 1, 0, 1, 2)",
+        (first.run_id, json.dumps(first.spec.to_dict()), DONE),
+    )
+    conn.executemany(
+        "INSERT INTO journal (session, tick, event, run_id, device)"
+        " VALUES (1, ?, ?, ?, ?)",
+        [
+            (0, "enqueue", first.run_id, None),
+            (1, "running", first.run_id, "toronto"),
+            (2, "done", first.run_id, "toronto"),
+        ],
+    )
+    conn.execute(
+        "INSERT INTO matviews (view, cell, scheme, ratio, cell_order)"
+        " VALUES ('fig17', 'cell', 'baseline', 1.0, 1),"
+        " ('fig17', 'cell', 'qismet', 0.9, 1)"
+    )
+    conn.execute(
+        "INSERT INTO matview_watermarks (view, watermark, baseline)"
+        " VALUES ('fig17', 4, 'baseline')"
+    )
+    conn.commit()
+    conn.close()
+    kept = ("runs", "blobs", "jobs", "journal", "traces")
+    before = _table_rows(db, kept)
+
+    query = RunQuery(run_ids=[run.run_id for run in outcome])
+    with ExperimentStore(db) as store:
+        assert store.migrated_from == 6
+        assert store.info()["schema_version"] == SCHEMA_VERSION == 7
+        assert {s.run_id: s.payload for s in store.query_runs()} == {
+            run.run_id: canonical_json(run.result.to_dict()) for run in outcome
+        }
+        assert store.aggregate(query) == outcome.geomean_improvements()
+    tables = _tables_and_columns(db)
+    assert "matviews" not in tables and "matview_watermarks" not in tables
+    assert _table_rows(db, kept) == before
+
+    with ExperimentStore(db) as store:  # reopening is a no-op migration
+        assert store.migrated_from == SCHEMA_VERSION
+        assert store.aggregate(query) == outcome.geomean_improvements()
+    # ... and so is the v6->v7 step run twice
+    conn = sqlite3.connect(str(db))
+    MIGRATIONS[6](conn)
+    conn.commit()
+    conn.close()
+    assert _tables_and_columns(db) == tables
+    assert _table_rows(db, kept) == before
 
 
 @pytest.mark.parametrize(
