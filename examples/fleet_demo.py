@@ -1,7 +1,8 @@
 """The fleet scheduling service: jobs across seven simulated IBMQ machines.
 
 Declares a plan, submits it to ``repro.fleet`` (transient-aware scheduler
-+ persistent SQLite job store + one worker thread per device), and shows:
++ persistent SQLite job store + one job queue per device, drained on this
+thread), and shows:
 
 1. jobs distributed across the fleet, with per-device utilization and
    deferral counters (counted from the job store's journal, where every

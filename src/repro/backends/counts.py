@@ -65,7 +65,7 @@ def _instance_cache(name: str) -> PlanCache:
     (see the note on :func:`~repro.compiler.api.transpile_then_compile`);
     holding this backend's own lowerings in a private fixed-capacity
     :class:`~repro.compiler.PlanCache` keeps its hot circuits immune to
-    that churn (and stays thread-safe for fleet workers).
+    that churn (and stays thread-safe for runs sharing a backend).
     """
     return PlanCache(capacity=_INSTANCE_CACHE_CAPACITY, name=name)
 

@@ -2,10 +2,10 @@
 
 :func:`compile_plan` is the way to turn a circuit into an executable
 :class:`~repro.compiler.ir.GatePlan` — the statevector, batched,
-density-matrix and sampling simulators, the energy backends, the VQE
-objective and the fleet workers all consume its output. Plans are keyed by
-content hash in the shared LRU cache, so repeated ``run_circuit`` /
-figure / fleet invocations never recompile.
+density-matrix and sampling simulators, the energy backends and the VQE
+objective all consume its output. Plans are keyed by content hash in the
+shared LRU cache, so repeated ``run_circuit`` / figure / fleet
+invocations never recompile.
 
 :func:`transpile_then_compile` is the single device-aware entry point: it
 runs the full staged pipeline (layout -> routing -> native basis ->

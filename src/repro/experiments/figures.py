@@ -278,7 +278,9 @@ def _fig13_rows(store: ExperimentStore, query: RunQuery, its: Dict) -> Dict:
             m: _machine_row(m, its[m], _cell(comparisons, f"machine:{m}"))
             for m in MACHINE_ITERATIONS
         },
-        "geomean_improvement": store.aggregate(query)["qismet"],
+        "geomean_improvement": geomean_improvements(
+            list(comparisons.values())
+        )["qismet"],
     }
 
 
@@ -386,10 +388,11 @@ def fig17_main_results(
 
     Declared as one ``ExperimentPlan`` (apps x schemes) and executed in a
     single fan-out, so ``REPRO_EXECUTOR=parallel`` parallelizes the whole
-    grid and ``REPRO_STORE`` makes repeated builds near-instant. Per-app
-    improvements and the geomean row are read back through the
-    experiment store's query/aggregate API (bit-identical to regrouping
-    the executor results directly).
+    grid and ``REPRO_STORE`` makes repeated builds near-instant. The
+    runs are read back once through the experiment store's query API;
+    per-app improvements and the geomean row both come from those
+    comparisons (the geomean is what ``store.aggregate`` returns, and
+    bit-identical to regrouping the executor results directly).
     """
     iterations = iterations or default_iterations(2000, 400)
     plan = ExperimentPlan(
@@ -401,7 +404,7 @@ def fig17_main_results(
     ):
         store.record_plan(plan)
         comparisons = store.comparisons(query)
-        geomean = store.aggregate(query)
+    geomean = geomean_improvements(list(comparisons.values()))
     per_app = {
         app_name: _cell(comparisons, app_name).improvements()
         for app_name in apps

@@ -10,8 +10,8 @@ Three pieces, one determinism contract:
   (transient), :class:`InjectedCrash` (death before commit), sleeping a
   latency spike, or mangling a payload;
 * :mod:`repro.faults.retry` — the :class:`RetryPolicy` applied uniformly
-  by fleet workers and store-backed executors, with derived-RNG jitter
-  on the fleet's simulated clock.
+  by the fleet's drain and store-backed executors, with derived-RNG
+  jitter on the fleet's simulated clock.
 """
 
 from repro.faults.inject import (

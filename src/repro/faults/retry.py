@@ -1,8 +1,8 @@
-"""Unified retry/backoff policy for workers and executors.
+"""Unified retry/backoff policy for the fleet and executors.
 
 One :class:`RetryPolicy` shape is applied everywhere a transient failure
-can be absorbed: the fleet's per-device workers (which sleep on the
-fleet's :class:`~repro.fleet.clock.SimulatedClock` in *ticks*), and the
+can be absorbed: the fleet's drain (which backs off on the fleet's
+:class:`~repro.fleet.clock.SimulatedClock` in *ticks*), and the
 store-backed executor cache (which degrades an unreadable entry to a
 miss). Backoff is exponential with derived-RNG jitter
 (:func:`repro.utils.rng.derive_rng` over ``(seed, run_id, attempt)``) —

@@ -18,9 +18,11 @@ Layers (bottom-up):
   defer-or-route decisions from per-device transient verdicts;
 * :mod:`~repro.fleet.health` — :class:`DeviceHealth`: quarantine after
   consecutive failures/transients, probe-based re-admission;
-* :mod:`~repro.fleet.workers` — one worker thread per device;
 * :mod:`~repro.fleet.service` — :class:`FleetService`: submit / drain /
-  collect, plus the service's counters (``telemetry()``);
+  collect, plus the service's counters (``telemetry()``). The drain runs
+  every job inline on the caller's thread, in an order that is a pure
+  function of its state, so the counters are as reproducible as the
+  results;
 * :mod:`~repro.fleet.executor` — :class:`FleetExecutor`: the
   ``REPRO_EXECUTOR=fleet`` entry point for the plan runtime.
 

@@ -36,6 +36,13 @@ from repro.runtime.spec import ExperimentPlan
 from repro.store.export import export_plan_result
 
 
+_TIMEOUT_HELP = (
+    "wall-clock seconds for the drain, checked between jobs: the job in "
+    "progress is not interrupted, and every job not yet started is marked "
+    "failed (drain --resume re-queues it)"
+)
+
+
 def _db_path(args) -> Optional[str]:
     return args.db or os.environ.get(FLEET_DB_ENV, "").strip() or None
 
@@ -325,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--machines", nargs="*", help="fleet machine subset")
     submit.add_argument("--db", help=f"job store path (or {FLEET_DB_ENV})")
     submit.add_argument("--fleet-seed", type=int, default=2023)
-    submit.add_argument("--timeout", type=float, default=None)
+    submit.add_argument("--timeout", type=float, default=None, help=_TIMEOUT_HELP)
     submit.add_argument(
         "--export",
         help="export the plan result (store-backed) as PlanResult JSON",
@@ -338,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     drain.add_argument("--db", help=f"job store path (or {FLEET_DB_ENV})")
     drain.add_argument("--machines", nargs="*", help="fleet machine subset")
     drain.add_argument("--fleet-seed", type=int, default=2023)
-    drain.add_argument("--timeout", type=float, default=None)
+    drain.add_argument("--timeout", type=float, default=None, help=_TIMEOUT_HELP)
     drain.add_argument(
         "--resume",
         action="store_true",

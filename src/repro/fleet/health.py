@@ -37,7 +37,7 @@ class HealthConfig:
 
     #: Consecutive job failures before quarantine.
     failure_threshold: int = 3
-    #: Consecutive transient verdicts (dispatch-time or pre-run) before
+    #: Consecutive dispatch-time transient verdicts before
     #: quarantine. Deliberately much larger than the per-job defer
     #: budget: ordinary transient windows resolve by deferral alone.
     transient_threshold: int = 24

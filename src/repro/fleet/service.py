@@ -8,8 +8,8 @@
   specs by content-hash run id),
 * the :class:`~repro.fleet.scheduler.TransientAwareScheduler` (routes jobs
   away from predicted transient windows, load-balances otherwise),
-* a :class:`~repro.fleet.workers.WorkerPool` (one thread per device running
-  the existing :func:`~repro.runtime.execute.execute_run` hot path).
+* the existing :func:`~repro.runtime.execute.execute_run` hot path, run
+  inline by the drain loop, one job at a time.
 
 Every decision the service makes — a job placed, deferred, retried,
 failed or served from the store, a device quarantined — is a row in the
@@ -22,19 +22,20 @@ changes only those counters — results are bit-identical to the serial
 executor's, which is the invariant that makes fleet-scale execution safe
 to switch on via ``REPRO_EXECUTOR=fleet``.
 
-Dispatch model: the caller's thread runs the dispatch loop (`drain`),
-placing queued jobs on devices and advancing the clock whenever the whole
-fleet is inside transient windows; workers execute, re-check their
-device's transient state at start (deferring back to the dispatcher while
-the job still has budget), and advance the clock as jobs finish.
+Dispatch model: one thread, the caller's, drives a service, and
+:meth:`FleetService.drain` runs every job inline in an order that is a
+pure function of its state, so the journal (and every counter counted
+from it) is as seed-determined as the results. Several services may
+share one store file, each driven from its own thread or process.
 """
 
 from __future__ import annotations
 
-import threading
 import traceback
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.faults.inject import InjectedCrash
 from repro.faults.retry import RetryPolicy, call_with_retry
@@ -85,7 +86,7 @@ class FleetService:
         #: Jobs found stranded ``running`` by a crashed predecessor and
         #: requeued on open (crash recovery on shared stores).
         self.recovered = self.store.requeue_running()
-        #: Uniform transient-failure policy for workers (jitter stream
+        #: Uniform transient-failure policy for jobs (jitter stream
         #: seeded by the fleet seed so backoff schedules reproduce).
         self.retry = retry if retry is not None else RetryPolicy.from_env(seed=seed)
         if isinstance(health, HealthConfig):
@@ -95,25 +96,21 @@ class FleetService:
             self.fleet, config=config, health=self.health
         )
         self.execute = execute
-        self._pending: deque = deque()
-        self._inflight = 0
+        #: Jobs waiting to be routed onto a device queue.
+        self._pending: Deque[FleetJob] = deque()
         #: run_ids this service is currently responsible for (pending or
-        #: in flight) — the guard against double-queueing one spec.
+        #: queued on a device) — the guard against double-queueing one spec.
         self._active: set = set()
-        self._wake = threading.Condition()
         self._closed = False
         #: run_ids that were satisfied straight from the store this session.
         self.store_hits = 0
         #: run_ids whose latest submission the store served (dedupe hits).
         self._served: set = set()
-        #: the active drain's span; worker threads attach their job spans
-        #: under it so the trace reassembles into one tree per drain.
-        self._drain_span = None
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Close the store (see :meth:`_abort_drain` for stragglers)."""
+        """Close the store."""
         if self._closed:
             return
         self._closed = True
@@ -142,9 +139,8 @@ class FleetService:
         tick = self.clock.now()
         for spec in specs:
             run_ids.append(spec.run_id)
-            with self._wake:
-                if spec.run_id in self._active:
-                    continue
+            if spec.run_id in self._active:
+                continue
             record = call_with_retry(
                 lambda spec=spec: self.store.enqueue(spec, tick=tick),
                 policy=self.retry,
@@ -156,12 +152,8 @@ class FleetService:
                 hits.append(spec.run_id)
                 continue
             self._served.discard(spec.run_id)
-            with self._wake:
-                if spec.run_id in self._active:  # raced with another submit
-                    continue
-                self._active.add(spec.run_id)
-                self._pending.append(FleetJob(spec, attempts=record.attempts))
-                self._wake.notify_all()
+            self._active.add(spec.run_id)
+            self._pending.append(FleetJob(spec, attempts=record.attempts))
         if hits:
             self.store.record_hits(hits, tick)
         return run_ids
@@ -169,109 +161,76 @@ class FleetService:
     # -- dispatch loop ------------------------------------------------------
 
     def drain(self, timeout: Optional[float] = None) -> None:
-        """Run the dispatch loop until every submitted job is done/failed.
+        """Run every submitted job to ``done``/``failed`` on this thread.
 
-        ``timeout`` (wall-clock seconds) guards against a wedged fleet;
-        ``None`` waits indefinitely. On timeout, still-pending and
-        still-running jobs are marked ``failed`` with a ``timeout``
-        detail (resubmitting them re-queues cleanly) before the
-        ``TimeoutError`` propagates — a timed-out drain never strands
-        rows in ``running``. Worker threads live only for the duration
-        of the drain: it joins them within what is left of ``timeout``
-        (nothing, once it has timed out), so repeated drains on one
-        service do not leak threads.
+        Each round routes the pending jobs onto per-device queues
+        (reserving queue depth), then runs one job inline: the head of
+        the queue of the device due first, the smallest ``(free_at,
+        device name)``, where ``free_at`` is the clock tick after that
+        device's last job. What the job hands back (pre-run re-check,
+        retry) is routed in the next round.
+
+        ``timeout`` (wall-clock seconds; ``None`` waits indefinitely) is
+        checked between jobs: a job already executing is not
+        interrupted. On expiry every job not yet started is marked
+        ``failed`` with a ``timeout`` detail (resubmitting re-queues it)
+        and ``TimeoutError`` is raised, leaving no row ``running``.
         """
-        from repro.fleet.workers import WorkerPool
-
         if self._closed:
             raise RuntimeError("service is closed")
-        with self._wake:
-            idle = not self._pending and self._inflight == 0
-        if idle:  # all-hit submission: no threads to spin up
+        if not self._pending:  # all-hit submission: nothing to run
             return
-        self._warm_plan_cache()
-        pool = WorkerPool(self.fleet, self._run_on_device)
-        pool.start()
         deadline = None if timeout is None else monotonic() + timeout
-        with self._wake:
-            queued = len(self._pending)
-        span = TRACER.span("fleet.drain", category="fleet", queued=queued)
-        try:
-            with span:
-                self._drain_span = span
-                while True:
-                    with self._wake:
-                        if not self._pending and self._inflight == 0:
-                            return
-                        job = (
-                            self._pending.popleft() if self._pending else None
-                        )
-                    if job is None:
-                        with self._wake:
-                            if self._pending or self._inflight == 0:
-                                continue
-                            self._wake.wait(timeout=0.05)
-                        _check_deadline(deadline)
-                        continue
-                    self._dispatch(pool, job)
-                    _check_deadline(deadline)
-        except TimeoutError:
+        queues: Dict[str, Deque[FleetJob]] = {n: deque() for n in self.fleet.names()}
+        free_at = dict.fromkeys(queues, 0)
+        with TRACER.span("fleet.drain", category="fleet", queued=len(self._pending)):
+            try:
+                while self._pending or any(queues.values()):
+                    if deadline is not None and monotonic() > deadline:
+                        break
+                    while self._pending:
+                        job = self._pending.popleft()
+                        device = self._dispatch(job)
+                        if device is not None:
+                            queues[device.name].append(job)
+                    name = min(
+                        (name for name, queue in queues.items() if queue),
+                        key=lambda name: (free_at[name], name),
+                    )
+                    self._execute_on_device(
+                        self.fleet.device(name), queues[name].popleft()
+                    )
+                    free_at[name] = self.clock.now()
+            finally:
+                # Jobs not yet started go back to pending with their depth
+                # released, so an interrupted drain loses none of them.
+                for name, queue in queues.items():
+                    for _ in queue:
+                        self.fleet.device(name).release()
+                    self._pending.extend(queue)
+        if self._pending:  # the deadline passed first
             self._abort_drain(timeout)
-            raise
-        finally:
-            self._drain_span = None
-            pool.stop(deadline)
+            raise TimeoutError("fleet drain exceeded its timeout")
 
     def _abort_drain(self, timeout: Optional[float]) -> None:
-        """Timeout cleanup: fail whatever the drain will not finish.
+        """Timeout cleanup: fail every job the drain has not started.
 
-        Pending jobs are failed outright, and so are this service's jobs
-        still in flight (rows another service on the same store is
-        running are left alone). A worker that completes after this
-        sweep wins — ``mark_done`` is idempotent and allowed from
-        ``failed``, so a straggler's success overwrites the timeout
-        verdict rather than colliding with it — as long as the service
-        is open. After :meth:`close` a straggler meets a closed store
-        and records nothing: its row keeps the timeout's ``failed``
-        verdict, and ``drain --resume`` runs it again. ``_inflight`` is
-        deliberately untouched: the workers' own ``finally`` blocks
-        decrement it.
+        Jobs run inline, so none is in flight: the pending jobs are all
+        that is left, and each is marked ``failed``.
         """
         detail = f"timeout: drain exceeded {timeout}s"
         tick = self.clock.now()
-        with self._wake:
-            stranded = [job.run_id for job in self._pending]
-            self._pending.clear()
-            self._active.difference_update(stranded)
-            inflight = sorted(self._active)
-        for run_id in stranded + inflight:
-            self.store.mark_failed(run_id, detail, tick)
+        while self._pending:
+            job = self._pending.popleft()
+            self._active.discard(job.run_id)
+            self.store.mark_failed(job.run_id, detail, tick)
 
-    def _warm_plan_cache(self) -> None:
-        """Compile each pending app's ansatz once before workers start.
+    def _dispatch(self, job: FleetJob) -> Optional[FleetDevice]:
+        """Route one job: reserve its device and return it, or defer it.
 
-        Worker threads all compile through the shared
-        :data:`repro.compiler.PLAN_CACHE`; warming it here means the
-        per-device threads only ever *bind* parameters against cached
-        plans (see :func:`repro.runtime.execute.warm_plan_cache`).
+        A job the whole fleet defers goes back to the pending queue after
+        the clock advances a tick, and ``None`` is returned.
         """
-        from repro.runtime.execute import warm_plan_cache
-
-        warmed = set()
-        with self._wake:
-            jobs = list(self._pending)
-        for job in jobs:
-            name = job.spec.app_name
-            if name in warmed:
-                continue
-            warmed.add(name)
-            try:
-                warm_plan_cache(job.spec)
-            # repro: allow-swallow — warm-up is best effort; workers compile
-            except Exception:  # pragma: no cover
-                pass
-
-    def _dispatch(self, pool, job: FleetJob) -> None:
         tick = self.clock.now()
         force = job.defers >= self.scheduler.config.defer_budget
         with TRACER.span(
@@ -310,136 +269,121 @@ class FleetService:
         if not decision.placed:
             job.tried.clear()
             self.clock.advance()  # let the window pass
-            with self._wake:
-                self._pending.append(job)
-            return
-        device = decision.device
-        device.reserve()
-        with self._wake:
-            self._inflight += 1
-        pool.submit(device.name, job)
+            self._pending.append(job)
+            return None
+        decision.device.reserve()
+        return decision.device
 
-    # -- worker-side execution ----------------------------------------------
+    # -- execution ----------------------------------------------------------
 
-    def _run_on_device(self, device: FleetDevice, job: FleetJob) -> None:
-        """Execute (or re-defer) one job on ``device``; worker-thread code.
+    def _execute_on_device(self, device: FleetDevice, job: FleetJob) -> None:
+        """Execute (or re-defer) one job on ``device``, in a ``fleet.job`` span.
 
-        Structured so that *no* exception escapes into the worker loop: a
+        Structured so that *no* exception escapes into the drain loop: a
         retryable failure in the execute hook re-queues the job (with
         backoff on the simulated clock) until the retry budget runs out,
         any other failure fails the job; a failure in the harness itself
         (store I/O, a transient check) also fails the job rather than
-        killing the device's worker thread and wedging the drain. An
-        :class:`InjectedCrash` simulates process death: the job's store
-        row is left exactly as the "dying" transition left it, which is
-        what the resume path recovers from.
+        ending the drain. An :class:`InjectedCrash` simulates process
+        death: the job's store row is left exactly as the "dying"
+        transition left it, which is what the resume path recovers from.
         """
-        with TRACER.attach(self._drain_span), TRACER.span(
-            "fleet.job",
-            category="fleet",
-            run_id=job.run_id,
-            device=device.name,
+        with TRACER.span(
+            "fleet.job", category="fleet", run_id=job.run_id, device=device.name
         ) as span:
-            self._execute_on_device(device, job, span)
-
-    def _execute_on_device(self, device: FleetDevice, job: FleetJob, span) -> None:
-        """Exception-isolating body of :meth:`_run_on_device`."""
-        requeue = False
-        finished = False
-        try:
-            tick = self.clock.now()
-            if (
-                job.defers < self.scheduler.config.defer_budget
-                and self.scheduler.in_transient_window(device, tick)
-            ):
-                # The device entered a transient window between routing and
-                # execution: hand the job back for rerouting.
-                job.defers += 1
-                job.tried.append(device.name)
-                self.store.record_defer(
-                    job.run_id,
-                    deferrals=[(device.name, "pre-run re-check")],
-                    tick=tick,
-                )
-                span.set(outcome="deferred")
-                requeue = True
-                return
-            self.store.mark_running(job.run_id, device.name, tick)
+            requeue = False
+            finished = False
             try:
-                result = self.execute(job.spec)
-            except InjectedCrash:
-                raise  # simulated process death — never absorbed here
-            except Exception as exc:  # job isolation boundary
-                detail = "".join(
-                    traceback.format_exception_only(type(exc), exc)
-                ).strip()
+                tick = self.clock.now()
                 if (
-                    self.retry.is_retryable(exc)
-                    and job.attempts + 1 < self.retry.max_attempts
+                    job.defers < self.scheduler.config.defer_budget
+                    and self.scheduler.in_transient_window(device, tick)
                 ):
-                    # Transient failure with budget left: back off on the
-                    # simulated clock and hand the job back for rerouting.
-                    job.attempts = self.store.record_retry(
-                        job.run_id, detail, self.clock.now()
-                    )
+                    # The device entered a transient window between routing and
+                    # execution: hand the job back for rerouting.
+                    job.defers += 1
                     job.tried.append(device.name)
-                    METRICS.counter("retry.attempts").inc()
-                    self.clock.advance(
-                        self.retry.backoff_ticks(job.run_id, job.attempts)
+                    self.store.record_defer(
+                        job.run_id,
+                        deferrals=[(device.name, "pre-run re-check")],
+                        tick=tick,
                     )
-                    span.set(outcome="retried", attempts=job.attempts)
+                    span.set(outcome="deferred")
                     requeue = True
                     return
-                if self.retry.is_retryable(exc):
-                    METRICS.counter("retry.gave_up").inc()
-                self.store.mark_failed(job.run_id, detail, self.clock.now())
-                if self.health.record_failure(device.name, self.clock.now()):
-                    self.store.record_quarantine(
-                        job.run_id,
-                        device.name,
-                        self.clock.now(),
-                        "consecutive failures",
+                self.store.mark_running(job.run_id, device.name, tick)
+                try:
+                    result = self.execute(job.spec)
+                except InjectedCrash:
+                    raise  # simulated process death — never absorbed here
+                except Exception as exc:  # job isolation boundary
+                    detail = "".join(
+                        traceback.format_exception_only(type(exc), exc)
+                    ).strip()
+                    if (
+                        self.retry.is_retryable(exc)
+                        and job.attempts + 1 < self.retry.max_attempts
+                    ):
+                        # Transient failure with budget left: back off on the
+                        # simulated clock and hand the job back for rerouting.
+                        job.attempts = self.store.record_retry(
+                            job.run_id, detail, self.clock.now()
+                        )
+                        job.tried.append(device.name)
+                        METRICS.counter("retry.attempts").inc()
+                        self.clock.advance(
+                            self.retry.backoff_ticks(job.run_id, job.attempts)
+                        )
+                        span.set(outcome="retried", attempts=job.attempts)
+                        requeue = True
+                        return
+                    if self.retry.is_retryable(exc):
+                        METRICS.counter("retry.gave_up").inc()
+                    self.store.mark_failed(job.run_id, detail, self.clock.now())
+                    if self.health.record_failure(device.name, self.clock.now()):
+                        self.store.record_quarantine(
+                            job.run_id,
+                            device.name,
+                            self.clock.now(),
+                            "consecutive failures",
+                        )
+                    span.set(outcome="failed")
+                else:
+                    self.store.mark_done(
+                        job.run_id, result, self.clock.now(), device=device.name
                     )
-                span.set(outcome="failed")
-            else:
-                self.store.mark_done(
-                    job.run_id, result, self.clock.now(), device=device.name
-                )
-                self.health.record_success(device.name)
-                span.set(outcome="completed")
-            finished = True
-        except InjectedCrash:
-            # Simulated process death before a commit: the store row stays
-            # exactly where the crash left it (``running`` or ``queued``)
-            # and is recovered by the next service's ``requeue_running`` /
-            # ``drain --resume``. Only in-memory bookkeeping is released
-            # so the surviving drain can terminate.
-            span.set(outcome="crashed")
-            finished = True
-        except Exception as exc:  # harness failure: fail the job, not the worker
-            detail = f"fleet internal error on {device.name}: {exc!r}"
-            try:
-                self.store.mark_failed(
-                    job.run_id, detail, self.clock.now(), device=device.name
-                )
-            # repro: allow-swallow — store down: nothing can record it
-            except Exception:
-                pass
-            span.set(outcome="error")
-            finished = True
-        finally:
-            try:
-                device.release()
-            except RuntimeError:  # pragma: no cover — depth already zero
-                pass
-            self.clock.advance()
-            with self._wake:
-                self._inflight -= 1
+                    self.health.record_success(device.name)
+                    span.set(outcome="completed")
+                finished = True
+            except InjectedCrash:
+                # Simulated process death before a commit: the store row stays
+                # exactly where the crash left it (``running`` or ``queued``)
+                # and is recovered by the next service's ``requeue_running`` /
+                # ``drain --resume``. Only in-memory bookkeeping is released
+                # so the surviving drain can terminate.
+                span.set(outcome="crashed")
+                finished = True
+            except Exception as exc:  # harness failure: fail the job, not the drain
+                detail = f"fleet internal error on {device.name}: {exc!r}"
+                try:
+                    self.store.mark_failed(
+                        job.run_id, detail, self.clock.now(), device=device.name
+                    )
+                # repro: allow-swallow — store down: nothing can record it
+                except Exception:
+                    pass
+                span.set(outcome="error")
+                finished = True
+            finally:
+                try:
+                    device.release()
+                except RuntimeError:  # pragma: no cover — depth already zero
+                    pass
+                self.clock.advance()
                 if requeue:
                     self._pending.append(job)
                 elif finished:
                     self._active.discard(job.run_id)
-                self._wake.notify_all()
 
     # -- high-level entry points --------------------------------------------
 
@@ -523,8 +467,3 @@ class FleetService:
                 total / rollup["ticks"] if rollup["ticks"] else 0.0
             ),
         }
-
-
-def _check_deadline(deadline: Optional[float]) -> None:
-    if deadline is not None and monotonic() > deadline:
-        raise TimeoutError("fleet drain exceeded its timeout")

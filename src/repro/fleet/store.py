@@ -28,10 +28,10 @@ other connections). ``mark_done`` commits the result payload *before*
 flipping the row's status (so a crash between the two leaves a
 re-runnable ``running`` row whose re-execution dedupes against the
 stored payload), and ``mark_done``/``mark_failed`` are idempotent so a
-resumed drain and a straggling worker cannot corrupt each other's
-state. Several stores may open the same database file: a transition
-holds the file's write lock from its status read to its commit, and
-inserts tolerate a concurrent writer's row. Queries take only the
+resumed drain and a straggling service on the same file cannot corrupt
+each other's state. Several stores may open the same database file: a
+transition holds the file's write lock from its status read to its
+commit, and inserts tolerate a concurrent writer's row. Queries take only the
 store's own lock (:meth:`~repro.store.ExperimentStore.read`), so they
 return the committed state at once while another store holds the
 write lock. Named fault sites
@@ -203,10 +203,10 @@ class JobStore:
         a ``running`` row whose resumed re-execution dedupes against the
         already-stored payload, so the final bytes are identical either
         way. Calling this on an already-``done`` row is a no-op, which is
-        what makes a resumed drain safe against straggling workers.
+        what makes a resumed drain safe against a straggling service.
 
         The stored run and the journal row name the row's device, else
-        ``device`` (the worker that ran a job whose claim a concurrent
+        ``device`` (the device that ran a job whose claim a concurrent
         ``requeue_running`` cleared).
         """
         INJECTOR.fire("jobstore.mark_done", run_id=run_id)
@@ -238,7 +238,7 @@ class JobStore:
         """Flip a job to ``failed`` (idempotent on already-failed rows).
 
         The journal row names the row's device, else ``device`` (the
-        worker that failed a job before it claimed the row).
+        device that failed a job before it claimed the row).
         """
         with self.results.transaction() as conn:
             row = _row(conn, run_id, "status, device")

@@ -3,10 +3,9 @@
 A :class:`Span` records a name, a category (the "phase" reports group
 by: compile / execute / kernel / store / fleet / ...), free-form attrs
 and a monotonic start + duration.  Spans nest: each thread keeps its
-own current-span stack, and structural mutations (attaching children,
-registering roots) go through one tracer lock so worker threads can
-attach under a job span owned by another thread (see
-:meth:`Tracer.attach`).
+own current-span stack, so a span opened on another thread becomes a
+root of its own, and structural mutations (attaching children,
+registering roots) go through one tracer lock.
 
 Tracing is off by default.  ``REPRO_TRACE=1`` enables it and
 ``REPRO_TRACE_EXPORT=path`` writes a Chrome trace at process exit.
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import os
 import threading
-from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.obs import clock
@@ -172,26 +170,6 @@ class Tracer:
             return NOOP_SPAN
         return Span(self, name, category, attrs)
 
-    @contextmanager
-    def attach(self, parent: Optional[Span]):
-        """Adopt ``parent`` as this thread's current span.
-
-        Fleet worker threads (and any helper threads) run inside
-        ``attach(job_span)`` so their spans reassemble into the job's
-        tree instead of becoming disconnected roots.  Safe to call with
-        ``None`` or while disabled (no-op).
-        """
-        if not self.enabled or parent is None or isinstance(parent, _NoopSpan):
-            yield
-            return
-        stack = self._stack()
-        stack.append(parent)
-        try:
-            yield
-        finally:
-            if stack and stack[-1] is parent:
-                stack.pop()
-
     def current(self) -> Optional[Span]:
         """The innermost open span on this thread, if any."""
         stack = self._stack()
@@ -207,8 +185,7 @@ class Tracer:
         return spans
 
 
-#: Process-wide tracer.  Instrumented code goes through ``span()`` /
-#: ``attach()``.
+#: Process-wide tracer.  Instrumented code goes through ``span()``.
 TRACER = Tracer()
 
 # Only the process that created the tracer exports at exit.  Forked

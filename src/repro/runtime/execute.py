@@ -65,10 +65,10 @@ def spsa_seed(spec: RunSpec) -> int:
 def warm_plan_cache(spec: RunSpec):
     """Pre-compile a spec's ansatz into the shared plan cache.
 
-    The fleet calls this once per distinct app before spinning up its
-    worker threads, so every device worker binds parameters against one
-    already-compiled :class:`~repro.compiler.GatePlan` instead of racing
-    to compile the same ansatz. Returns the plan.
+    A benchmark's set-up (``perfbench``) calls this once per distinct
+    app, so its timed passes bind parameters against an
+    already-compiled :class:`~repro.compiler.GatePlan` instead of paying
+    for the first compile. Returns the plan.
     """
     app = resolve_app(spec.app)
     return app.build_ansatz().plan
@@ -76,8 +76,8 @@ def warm_plan_cache(spec: RunSpec):
 
 def execute_run(spec: RunSpec) -> RunResult:
     """Execute one spec to completion (synchronously, in this process)."""
-    # Chaos boundary: the per-run fault site every worker/executor passes
-    # through (a no-op unless a fault plan is installed).
+    # Chaos boundary: the per-run fault site every executor and the fleet
+    # pass through (a no-op unless a fault plan is installed).
     INJECTOR.fire("execute.run", run_id=spec.run_id)
     with TRACER.span(
         "run.execute", category="execute",

@@ -138,7 +138,7 @@ class CachedExecutor(BaseExecutor):
     def _load(self, spec: RunSpec) -> Optional[RunResult]:
         try:
             # Store reads retry transient I/O failures (same policy shape
-            # the fleet workers use), then degrade to a miss: the inner
+            # the fleet uses), then degrade to a miss: the inner
             # executor re-derives bit-identical bytes from the spec.
             cached = call_with_retry(
                 lambda: self.store.get(spec.run_id), label=spec.run_id

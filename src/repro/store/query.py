@@ -42,12 +42,11 @@ class RunQuery:
     devices: Optional[Sequence[str]] = None
     sources: Optional[Sequence[str]] = None
     run_ids: Optional[Sequence[str]] = None
-    min_seq: Optional[int] = None
     limit: Optional[int] = None
 
     def __post_init__(self) -> None:
         for spec_field in fields(self):
-            if spec_field.name in ("min_seq", "limit"):
+            if spec_field.name == "limit":
                 continue
             object.__setattr__(
                 self, spec_field.name, _freeze(getattr(self, spec_field.name))
@@ -74,9 +73,6 @@ class RunQuery:
             placeholders = ",".join("?" for _ in values)
             clauses.append(f"{column} IN ({placeholders})")
             params.extend(values)
-        if self.min_seq is not None:
-            clauses.append("seq > ?")
-            params.append(self.min_seq)
         sql = ""
         if clauses:
             sql += " WHERE " + " AND ".join(clauses)

@@ -92,12 +92,6 @@ class VQEResult:
         tail = max(1, int(len(values) * fraction))
         return float(np.mean(values[-tail:]))
 
-    @property
-    def skip_fraction(self) -> float:
-        if not self.records:
-            return 0.0
-        return self.total_retries / max(1, self.total_jobs)
-
     def summary(self) -> Dict[str, float]:
         return {
             "iterations": float(self.iterations),

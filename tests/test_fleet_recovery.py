@@ -408,27 +408,29 @@ def test_corrupt_payload_self_heals_on_resubmission(tmp_path):
 # -- drain timeout (satellite a) ----------------------------------------------
 
 
+def _slow_first(run_spec):
+    """An execute hook whose first spec overruns a 0.3 s drain timeout."""
+    if run_spec == SPECS[0]:
+        time.sleep(0.4)
+    return execute_run(run_spec)
+
+
 def test_drain_timeout_strands_no_running_rows():
-    release = threading.Event()
-
-    def wedged_execute(run_spec):
-        assert release.wait(60)
-        return execute_run(run_spec)
-
-    service = FleetService(machines=["toronto"], execute=wedged_execute)
-    spec = SPECS[0]
-    service.submit([spec])
+    """The deadline is checked between jobs: the job that overran it
+    finishes, and every job not yet started fails with the timeout."""
+    service = FleetService(machines=["toronto"], execute=_slow_first)
+    service.submit(SPECS)
     try:
         with pytest.raises(TimeoutError):
             service.drain(timeout=0.3)
+        records = [service.store.fetch(spec.run_id) for spec in SPECS]
+        assert [record.status for record in records] == [DONE, FAILED, FAILED]
+        for record in records[1:]:
+            assert "timeout: drain exceeded" in record.error
         counts = service.store.counts()
         assert counts[RUNNING] == 0  # nothing stranded mid-flight
         assert counts[QUEUED] == 0
-        assert counts[FAILED] == 1
-        record = service.store.fetch(spec.run_id)
-        assert "timeout" in record.error
     finally:
-        release.set()
         service.close()
 
 
@@ -443,22 +445,19 @@ def test_drain_timeout_fails_only_its_own_jobs(tmp_path):
         assert release.wait(60)
         return execute_run(run_spec)
 
-    def wedged_execute(run_spec):
-        assert release.wait(60)
-        return execute_run(run_spec)
-
-    own, other = SPECS[0], SPECS[1]
-    timed_out = FleetService(machines=["toronto"], db_path=db, execute=wedged_execute)
+    other = RunSpec(app="App1", scheme="baseline", iterations=4, seed=6)
+    timed_out = FleetService(machines=["toronto"], db_path=db, execute=_slow_first)
     busy = FleetService(machines=["cairo"], db_path=db, execute=gated_execute)
     busy.submit([other])
     drainer = threading.Thread(target=busy.drain, kwargs={"timeout": 120})
     drainer.start()
     try:
         assert started.wait(60)
-        timed_out.submit([own])
+        timed_out.submit(SPECS)
         with pytest.raises(TimeoutError):
             timed_out.drain(timeout=0.3)
-        assert timed_out.store.fetch(own.run_id).status == FAILED
+        statuses = [timed_out.store.fetch(spec.run_id).status for spec in SPECS]
+        assert statuses == [DONE, FAILED, FAILED]
         assert timed_out.store.fetch(other.run_id).status == RUNNING
         events = [
             entry["event"]

@@ -22,12 +22,10 @@ def _spec(app="App1"):
 # -- clock -------------------------------------------------------------------
 
 
-def test_clock_advances_and_wakes_waiters():
+def test_clock_advances_by_positive_steps():
     clock = SimulatedClock()
     assert clock.now() == 0
     assert clock.advance(3) == 3
-    assert clock.wait_beyond(2, timeout=0.1)
-    assert not clock.wait_beyond(99, timeout=0.01)
     with pytest.raises(ValueError):
         clock.advance(0)
 

@@ -3,12 +3,14 @@
 * fleet results are bit-identical to the serial executor's;
 * jobs distribute across >= 3 devices;
 * an injected transient window causes >= 1 deferral;
-* resubmitting a plan hits the job store and re-executes nothing.
+* resubmitting a plan hits the job store and re-executes nothing;
+* the scheduler's counters are seed-determined, like the results.
 """
 
 import numpy as np
 import pytest
 
+from repro.experiments.figures import fig13_fleet
 from repro.fleet import FleetError, FleetExecutor, FleetService
 from repro.fleet.store import DONE, FAILED, FLEET_WIDE
 from repro.runtime import ExperimentPlan, RunSpec, SerialExecutor
@@ -228,3 +230,52 @@ def test_submit_after_close_rejected():
     service.close()
     with pytest.raises(RuntimeError):
         service.submit([RunSpec(app="App1", scheme="noise-free", iterations=3)])
+
+
+def _device(runs: int, deferred: int) -> dict:
+    """One device's counters in a fault-free, hit-free drain."""
+    return {
+        "scheduled": runs,
+        "completed": runs,
+        "failed": 0,
+        "deferred": deferred,
+        "cache_hits": 0,
+        "retries": 0,
+        "quarantines": 0,
+    }
+
+
+#: The ``fleet`` section of ``fig13_fleet(seed=17, iterations=15)``.
+FIG13_FLEET_SECTION = {
+    "devices_used": 6,
+    "total_deferrals": 5,
+    "throughput_jobs_per_tick": 0.75,
+    "per_device": {
+        "cairo": _device(2, 1),
+        "casablanca": _device(2, 0),
+        "guadalupe": _device(3, 0),
+        "jakarta": _device(1, 1),
+        "mumbai": _device(2, 1),
+        "sydney": _device(0, 2),
+        "toronto": _device(2, 0),
+    },
+    "job_counts": {"queued": 0, "running": 0, "done": 12, "failed": 0},
+    "stored_runs_per_device": {
+        "cairo": 2,
+        "casablanca": 2,
+        "guadalupe": 3,
+        "jakarta": 1,
+        "mumbai": 2,
+        "toronto": 2,
+    },
+}
+
+
+def test_fig13_fleet_is_seed_determined():
+    """Same input twice, same output: the drain runs its jobs in an order
+    that is a pure function of its state, so where each job ran, every
+    deferral and the tick count repeat build over build."""
+    first = fig13_fleet(seed=17, iterations=15)
+    second = fig13_fleet(seed=17, iterations=15)
+    np.testing.assert_equal(first, second)
+    assert first["fleet"] == FIG13_FLEET_SECTION

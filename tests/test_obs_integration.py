@@ -10,7 +10,7 @@ The contracts the obs layer ships with:
   time;
 * disabled tracing opens no span per plan op, and the run-level spans
   it does open cost <2% of a batched evaluation;
-* fleet worker threads' spans reassemble under the drain's span tree.
+* a fleet drain's job spans nest under the drain's span tree.
 """
 
 import numpy as np
@@ -206,10 +206,10 @@ def test_disabled_tracing_overhead_under_2_percent(monkeypatch):
     )
 
 
-# -- span reassembly across workers -------------------------------------------
+# -- span trees of the fleet and the executors ---------------------------------
 
 
-def test_fleet_worker_spans_reassemble_under_drain(traced, tmp_path):
+def test_fleet_job_spans_nest_under_drain(traced, tmp_path):
     from repro.fleet.service import FleetService
 
     specs = ExperimentPlan(
@@ -226,11 +226,9 @@ def test_fleet_worker_spans_reassemble_under_drain(traced, tmp_path):
     jobs = [span for span in drain.walk() if span.name == "fleet.job"]
     assert len(jobs) == len(specs)
     assert {job.attrs["outcome"] for job in jobs} == {"completed"}
-    # Worker-thread execution nests the runtime's span under the fleet's.
+    # Inline execution nests the runtime's span under the fleet's.
     for job in jobs:
         assert "run.execute" in [span.name for span in job.walk()]
-    # Workers ran on their own threads yet landed in the drain's tree.
-    assert {job.thread_name for job in jobs} != {drain.thread_name}
     dispatches = [
         span for span in drain.walk() if span.name == "fleet.dispatch"
     ]

@@ -1,4 +1,4 @@
-"""repro.obs core: span trees, cross-thread attach, metrics."""
+"""repro.obs core: span trees, per-thread span stacks, metrics."""
 
 import threading
 
@@ -87,41 +87,7 @@ def test_current_tracks_innermost_open_span(tracer):
     assert tracer.current() is None
 
 
-# -- cross-thread reassembly --------------------------------------------------
-
-
-def test_attach_adopts_parent_across_threads(tracer):
-    barrier = threading.Barrier(4)  # distinct, concurrently-live threads
-
-    def worker(parent, name):
-        with tracer.attach(parent):
-            with tracer.span(name, category="fleet"):
-                barrier.wait(timeout=5)
-
-    with tracer.span("job", category="execute") as job:
-        threads = [
-            threading.Thread(target=worker, args=(job, f"w{i}"))
-            for i in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    assert [root.name for root in tracer.roots] == ["job"]
-    assert sorted(child.name for child in job.children) == [
-        "w0", "w1", "w2", "w3"
-    ]
-    # Each child carries its own thread identity for the Chrome export.
-    assert len({child.thread_id for child in job.children}) == 4
-
-
-def test_attach_with_none_or_noop_is_a_noop(tracer):
-    with tracer.attach(None):
-        with tracer.span("root"):
-            pass
-    with tracer.attach(NOOP_SPAN):
-        pass
-    assert [root.name for root in tracer.roots] == ["root"]
+# -- per-thread stacks --------------------------------------------------------
 
 
 def test_unattached_thread_spans_become_roots(tracer):

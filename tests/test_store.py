@@ -138,12 +138,6 @@ def test_query_preserves_append_order(store, outcome):
     assert store.run_ids() == [run.run_id for run in outcome]
 
 
-def test_query_min_seq_watermarking(store):
-    rows = store.query_runs()
-    newer = store.query_runs(RunQuery(min_seq=rows[5].seq))
-    assert [s.seq for s in newer] == [s.seq for s in rows[6:]]
-
-
 # -- aggregation parity --------------------------------------------------------
 
 
